@@ -15,11 +15,11 @@ quadratic form.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from rbfstudy.geometry import PointSet
 from rbfstudy.kernels import Kernel
@@ -28,8 +28,17 @@ from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 INTERPOLANT_FORMAT_VERSION = 1
 
 # Past this 2-norm condition estimate the factorization is numerically
-# meaningless in double precision and the solve is refused.
+# meaningless in double precision and the solve is refused. The estimate
+# is max|lambda| / min|lambda| over the symmetric eigenvalues, computed in
+# double, so it saturates near 1e16..1e17: a truly worse system can read
+# below this limit.
 DEFAULT_COND_LIMIT = 1e18
+
+# Point-center pairs per block of expansion evaluation: each float64
+# temporary of a block takes 1 MB, whatever the number of probes. Blocks of
+# 2**19 pairs and more ran about 1.7x slower on a host with 2 MiB of L2
+# cache per core; 2**16 to 2**18 ran alike.
+EVAL_BLOCK_PAIRS = 2**17
 
 
 class SingularSystemError(RuntimeError):
@@ -62,20 +71,24 @@ class InterpolationProblem:
         return self.kernel.cpd_order
 
 
-def _expansion_value(kernel, centers, weights, basis, poly_coeffs, x):
-    diffs = np.asarray(x, dtype=float)[..., None, :] - centers
-    out = np.tensordot(kernel.evaluate(diffs), weights, axes=([-1], [0]))
-    if basis.size:
-        out = out + basis.evaluate(x) @ poly_coeffs
-    return out
-
-
 def _expansion_derivative(kernel, centers, weights, basis, poly_coeffs, alpha, x):
-    diffs = np.asarray(x, dtype=float)[..., None, :] - centers
-    out = np.tensordot(kernel.evaluate_derivative(alpha, diffs), weights, axes=([-1], [0]))
-    if basis.size:
-        out = out + basis.evaluate_derivative(poly_coeffs, alpha, x)
-    return out
+    """D^alpha of p + sum_j w_j h(. - z_j) at a point (dim,) or batch (..., dim).
+
+    The probes are walked in blocks of about EVAL_BLOCK_PAIRS point-center
+    pairs, so memory does not grow with the number of probes.
+    """
+    x = kernel._check_points(x)
+    flat = x.reshape(-1, kernel.dim)
+    out = np.empty(len(flat))
+    step = max(1, EVAL_BLOCK_PAIRS // len(centers))
+    for start in range(0, len(flat), step):
+        block = flat[start:start + step]
+        value = kernel.cross(alpha, block, centers) @ weights
+        if basis.size:
+            value += basis.evaluate_derivative(poly_coeffs, alpha, block)
+        out[start:start + step] = value
+    out = out.reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -105,17 +118,16 @@ class Interpolant:
 
     def evaluate(self, x) -> float | np.ndarray:
         """Interpolant value at a point (dim,) or batch (..., dim)."""
-        out = _expansion_value(
-            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs, x
+        return _expansion_derivative(
+            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs,
+            (0,) * self.kernel.dim, x,
         )
-        return float(out) if np.ndim(out) == 0 else out
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
         """Analytic partial derivative of the interpolant of order alpha."""
-        out = _expansion_derivative(
+        return _expansion_derivative(
             self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs, alpha, x
         )
-        return float(out) if np.ndim(out) == 0 else out
 
     def moment_residual(self) -> float:
         """Euclidean norm of the moment-condition residual of the weights."""
@@ -182,11 +194,13 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     """Solve the saddle-point interpolation system.
 
     Assembles [[A, P], [P^T, 0]] with A the kernel Gram matrix on the nodes
-    and P the polynomial evaluation matrix, factorizes it with a dense
-    symmetric-indefinite routine, and reports the 2-norm condition
-    estimate on the returned interpolant. A system whose estimate exceeds
-    ``cond_limit`` raises SingularSystemError instead of being silently
-    regularized.
+    and P the polynomial evaluation matrix. The reported condition estimate
+    is the 2-norm condition max|lambda| / min|lambda| from the symmetric
+    eigenvalues; computed in double it saturates near 1e16..1e17. A system
+    whose estimate exceeds ``cond_limit`` raises SingularSystemError
+    instead of being silently regularized. Otherwise the system is factored
+    once (dense symmetric-indefinite LDL^T) and that factorization serves
+    the solve and two steps of iterative refinement.
     """
     kernel, nodes = problem.kernel, problem.nodes
     m = problem.cpd_order
@@ -198,21 +212,40 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     system, basis = assemble_system(kernel, nodes)
     rhs = np.concatenate([problem.values, np.zeros(basis.size)])
 
-    cond = float(np.linalg.cond(system))
+    cond = _condition_2norm(system)
     if not np.isfinite(cond) or cond > cond_limit:
         raise SingularSystemError("saddle-point system too ill-conditioned", cond)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            solution = scipy.linalg.solve(system, rhs, assume_a="sym")
-            # Two steps of iterative refinement push the nodal residual back
-            # toward machine level on moderately conditioned systems.
-            for _ in range(2):
-                residual = rhs - system @ solution
-                solution = solution + scipy.linalg.solve(system, residual, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularSystemError(str(exc), cond) from exc
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(len(system))
+    factors, pivots, info = scipy.linalg.lapack.dsytrf(system, lwork=int(lwork))
+    if info > 0:
+        raise SingularSystemError(f"LDL^T factor D is exactly singular at {info}", cond)
+
+    def backsolve(b):
+        return scipy.linalg.lapack.dsytrs(factors, pivots, b)[0]
+
+    solution = backsolve(rhs)
+    # Two steps of iterative refinement push the nodal residual back
+    # toward machine level on moderately conditioned systems.
+    for _ in range(2):
+        solution = solution + backsolve(rhs - system @ solution)
     return Interpolant(kernel, nodes, solution[:n], solution[n:], cond)
+
+
+def _condition_2norm(system: np.ndarray) -> float:
+    """2-norm condition max|lambda| / min|lambda| of a symmetric matrix.
+
+    Infinite when an entry is not finite, an eigenvalue is exactly zero or
+    the eigenvalue iteration fails.
+    """
+    if not np.all(np.isfinite(system)):
+        return float("inf")
+    try:
+        eigenvalues = scipy.linalg.eigvalsh(system, check_finite=False)
+    except np.linalg.LinAlgError:
+        return float("inf")
+    magnitudes = np.abs(eigenvalues)
+    smallest = magnitudes.min()
+    return float(magnitudes.max() / smallest) if smallest > 0.0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -251,16 +284,15 @@ class KernelExpansion:
         object.__setattr__(self, "basis", basis)
 
     def evaluate(self, x) -> float | np.ndarray:
-        out = _expansion_value(
-            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs, x
+        return _expansion_derivative(
+            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs,
+            (0,) * self.kernel.dim, x,
         )
-        return float(out) if np.ndim(out) == 0 else out
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
-        out = _expansion_derivative(
+        return _expansion_derivative(
             self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs, alpha, x
         )
-        return float(out) if np.ndim(out) == 0 else out
 
     def moment_residual(self) -> float:
         if self.basis.size == 0:

@@ -106,12 +106,16 @@ class Kernel:
     def _profile_deriv(self, j: int, t: np.ndarray) -> np.ndarray:
         """j-th derivative of the radial profile at t = c**2 + |x|**2."""
         if self.family is KernelFamily.GAUSSIAN:
-            return (-self.beta) ** j * np.exp(-self.beta * t)
+            out = np.exp(-self.beta * t)
+            out *= (-self.beta) ** j
+            return out
         half = self.beta / 2.0
         coeff = math.gamma(-half)
         for i in range(j):
             coeff *= half - i
-        return coeff * t ** (half - j)
+        out = t ** (half - j)
+        out *= coeff
+        return out
 
     def evaluate(self, x) -> float | np.ndarray:
         """Kernel value at x.
@@ -120,10 +124,7 @@ class Kernel:
         the result drops the last axis. Note the multiquadric carries its
         gamma prefactor, which is negative for 0 < beta < 2.
         """
-        x = self._check_points(x)
-        t = self._shift() + np.sum(x * x, axis=-1)
-        out = self._profile_deriv(0, t)
-        return float(out) if out.ndim == 0 else out
+        return self._at_points((0,) * self.dim, x)
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
         """Partial derivative of the kernel of multi-index order alpha at x.
@@ -132,17 +133,59 @@ class Kernel:
         reduces to ``evaluate``. Raises UnsupportedOrderError when
         ``sum(alpha)`` exceeds MAX_DERIVATIVE_ORDER.
         """
+        return self._at_points(self._check_order(alpha), x)
+
+    def cross(self, alpha, x, centers) -> np.ndarray:
+        """alpha-derivative of the kernel at every difference ``x_i - z_j``.
+
+        x (n, dim) and centers (m, dim) give an (n, m) matrix, built from
+        one contiguous difference plane per axis rather than an
+        (n, m, dim) tensor.
+        """
+        alpha = self._check_order(alpha)
+        x, centers = self._check_points(x), self._check_points(centers)
+        planes = [x[:, i, None] - centers[None, :, i] for i in range(self.dim)]
+        return self._derivative_on_planes(alpha, planes)
+
+    def gram(self, points: np.ndarray) -> np.ndarray:
+        """Symmetric matrix of kernel values on all pairwise differences."""
+        return self.cross((0,) * self.dim, points, points)
+
+    def _at_points(self, alpha: tuple[int, ...], x) -> float | np.ndarray:
+        x = self._check_points(x)
+        out = self._derivative_on_planes(alpha, [x[..., i] for i in range(self.dim)])
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _derivative_on_planes(self, alpha: tuple[int, ...], planes: list) -> np.ndarray:
+        """The kernel core: alpha-derivative at the differences whose axis-i
+        components are ``planes[i]``.
+
+        ``t`` is summed axis by axis in increasing order, which reproduces
+        ``np.sum(x * x, axis=-1)`` bit for bit.
+        """
+        t = planes[0] * planes[0]
+        for plane in planes[1:]:
+            t += plane * plane
+        t += self._shift()
+        out = None
+        for term in derivative_terms(self.dim, alpha):
+            value = self._profile_deriv(term.deriv_order, t)
+            # The constant polynomial 1 (the value term) would only copy value.
+            if term.poly != {(0,) * self.dim: 1.0}:
+                value *= _eval_poly(term.poly, planes)
+            if out is None:
+                out = value
+            else:
+                out += value
+        return out
+
+    def _check_order(self, alpha) -> tuple[int, ...]:
         alpha = _check_multi_index(alpha, self.dim)
         if sum(alpha) > MAX_DERIVATIVE_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order {sum(alpha)} exceeds cap {MAX_DERIVATIVE_ORDER}"
             )
-        x = self._check_points(x)
-        t = self._shift() + np.sum(x * x, axis=-1)
-        out = np.zeros_like(t, dtype=float)
-        for term in derivative_terms(self.dim, alpha):
-            out = out + _eval_poly(term.poly, x) * self._profile_deriv(term.deriv_order, t)
-        return float(out) if out.ndim == 0 else out
+        return alpha
 
     def _check_points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -153,12 +196,6 @@ class Kernel:
         if not np.all(np.isfinite(x)):
             raise ValueError("kernel argument must be finite")
         return x
-
-    def gram(self, points: np.ndarray) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences."""
-        pts = np.asarray(points, dtype=float)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        return self.evaluate(diffs)
 
     def to_dict(self) -> dict:
         d = {"family": self.family.value, "beta": self.beta, "dim": self.dim}
@@ -237,12 +274,13 @@ def derivative_terms(dim: int, alpha: tuple[int, ...]) -> tuple[RadialProfileTer
     )
 
 
-def _eval_poly(poly: dict, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape[:-1], dtype=float)
+def _eval_poly(poly: dict, planes: list) -> np.ndarray:
+    """Polynomial value at the differences whose axis-i components are planes[i]."""
+    out = None
     for expo, coeff in poly.items():
-        term = np.full(x.shape[:-1], coeff, dtype=float)
-        for axis, e in enumerate(expo):
+        term = coeff
+        for plane, e in zip(planes, expo):
             if e:
-                term = term * x[..., axis] ** e
-        out = out + term
+                term = term * plane**e
+        out = term if out is None else out + term
     return out

@@ -57,6 +57,10 @@ CSV_HEADER = "level,d,N,kernel,beta,c,alpha,sup_error,norm_f,regime,cond_estimat
 VALUE_TAG = "0"
 NO_REGIME = "-"
 
+# Largest probe or fill lattice a config may ask for. A 3D lattice of this
+# many points already takes 400 MB for its coordinates alone.
+MAX_LATTICE_POINTS = 2**24
+
 
 def alpha_tag(alpha) -> str:
     return "-".join(str(int(a)) for a in alpha)
@@ -117,6 +121,20 @@ class ApproximandSpec:
         )
 
 
+def _check_optional_positive_int(key: str, value) -> None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ValueError(f"{key} must be null or a positive integer, got {value!r}")
+
+
+def _check_lattice_size(key: str, points: int, dim: int) -> None:
+    if points > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"{key} asks for a lattice of {points:,} points in {dim}D, which needs "
+            f"{points * dim * 8:,} bytes for its coordinates alone; the limit is "
+            f"{MAX_LATTICE_POINTS:,} points"
+        )
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Full description of one refinement study."""
@@ -173,6 +191,12 @@ class StudyConfig:
             )
         if self.probe_resolution < 2:
             raise ValueError("probe_resolution must be >= 2")
+        _check_optional_positive_int("fill_resolution", self.fill_resolution)
+        _check_optional_positive_int("tolerances.solver_dps", self.solver_dps)
+        dim = self.kernel.dim
+        fill_res = self.fill_resolution or default_fill_resolution(dim)
+        _check_lattice_size("probe_resolution", self.probe_resolution**dim, dim)
+        _check_lattice_size("fill_resolution", (fill_res + 1) ** dim + fill_res**dim, dim)
 
     @property
     def levels(self) -> int:
@@ -428,7 +452,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         d = fill_distance(config.domain, nodes, fill_res)
         tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
         try:
-            if config.solver_dps:
+            if config.solver_dps is not None:
                 value_error, deriv_errors, cond = _measure_level_mp(
                     config, f, nodes, probes, inner
                 )

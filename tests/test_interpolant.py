@@ -1,14 +1,19 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from rbfstudy import interpolant as interpolant_module
 from rbfstudy.geometry import CubeDomain, PointSet, generate_points
 from rbfstudy.interpolant import (
     InterpolationProblem,
     Interpolant,
     KernelExpansion,
     SingularSystemError,
+    assemble_system,
     interpolate_expansion,
     residual_expansion,
     solve,
@@ -79,6 +84,45 @@ class TestSolveExamples:
         with pytest.raises(SingularSystemError) as info:
             solve(prob, cond_limit=1.0)
         assert info.value.cond_estimate > 1.0
+
+    def test_same_bits_as_three_symmetric_solves(self):
+        # One LDL^T factorization reused for the solve and both refinement
+        # steps gives what three separate symmetric solves gave.
+        kernel = Kernel.multiquadric(1.0, 0.2, 2)
+        nodes = generate_points(CubeDomain.unit(2), "halton", count=120)
+        values = np.random.default_rng(5).standard_normal(len(nodes))
+        system, basis = assemble_system(kernel, nodes)
+        rhs = np.concatenate([values, np.zeros(basis.size)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            expected = scipy.linalg.solve(system, rhs, assume_a="sym")
+            for _ in range(2):
+                expected = expected + scipy.linalg.solve(
+                    system, rhs - system @ expected, assume_a="sym"
+                )
+        interp = solve(InterpolationProblem(kernel, nodes, values))
+        assert np.array_equal(interp.coeffs, expected[: len(nodes)])
+        assert np.array_equal(interp.poly_coeffs, expected[len(nodes):])
+
+    def test_cond_estimate_is_two_norm_condition(self):
+        kernel = Kernel.gaussian(20.0, 2)
+        nodes = generate_points(CubeDomain.unit(2), "halton", count=30)
+        interp = solve(InterpolationProblem(kernel, nodes, np.ones(30)))
+        system, _ = assemble_system(kernel, nodes)
+        expected = np.linalg.cond(system)
+        assert expected < 1e6
+        assert interp.cond_estimate == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_exactly_singular_system_rejected(self, count):
+        # exp(-1e-20 * t) rounds to 1 on the unit interval: the system is
+        # all ones. Two nodes give an exactly zero eigenvalue; with three
+        # the eigenvalues read about 1e-17 and the LDL^T factor D has a
+        # zero pivot.
+        kernel = Kernel.gaussian(1e-20, 1)
+        nodes = PointSet.from_array(np.linspace(0.0, 1.0, count)[:, None])
+        with pytest.raises(SingularSystemError):
+            solve(InterpolationProblem(kernel, nodes, np.ones(count)))
 
     def test_value_count_mismatch(self):
         kernel = Kernel.gaussian(1.0, 1)
@@ -190,6 +234,64 @@ class TestDerivatives:
                 for i in range(len(probes)):
                     fd = central_difference(lambda x: interp.evaluate(x), alpha, probes[i])
                     assert abs(analytic[i] - fd) <= 1e-4 * (1.0 + abs(analytic[i]))
+
+
+def _tensor_derivative(f, alpha, x):
+    """D^alpha f at points x (..., dim) from one full difference tensor."""
+    x = np.asarray(x, dtype=float)
+    diffs = x[..., None, :] - f.centers.points
+    out = f.kernel.evaluate_derivative(alpha, diffs) @ f.weights
+    if f.basis.size:
+        out = out + f.basis.evaluate_derivative(f.poly_coeffs, alpha, x)
+    return out
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_full_tensor(self, dim, monkeypatch):
+        rng = np.random.default_rng(90 + dim)
+        kernels = [Kernel.multiquadric(3.0, 0.4, dim), Kernel.gaussian(3.0, dim)]
+        alphas = [(0,) * dim] + multi_indices_up_to(dim, 2)
+        # 4 probes of the 9 centers per block, so 23 probes end in a partial block.
+        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        for kernel in kernels:
+            f = _random_expansion(kernel, rng, n_centers=9)
+            f = KernelExpansion(kernel, f.centers, f.weights, rng.standard_normal(f.basis.size))
+            batch = rng.uniform(-0.2, 1.2, size=(23, dim))
+            grid = rng.uniform(-0.2, 1.2, size=(5, 3, dim))
+            for alpha in alphas:
+                for x in (batch, grid, batch[0]):
+                    expected = _tensor_derivative(f, alpha, x)
+                    got = f.evaluate_derivative(alpha, x)
+                    assert np.shape(got) == np.shape(expected)
+                    np.testing.assert_allclose(
+                        got, expected, rtol=1e-13, atol=1e-13 * np.max(np.abs(expected))
+                    )
+            single = f.evaluate(batch[0])
+            assert isinstance(single, float)
+            assert single == pytest.approx(float(_tensor_derivative(f, (0,) * dim, batch[0])),
+                                           rel=1e-13)
+            if dim == 1:
+                assert f.evaluate(0.3) == pytest.approx(f.evaluate([0.3]), rel=1e-15)
+
+    def test_rejects_bad_points(self):
+        f = KernelExpansion(Kernel.gaussian(1.0, 2), PointSet.from_array([[0.0, 0.0]]), [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            f.evaluate([[0.0, math.inf]])
+        with pytest.raises(ValueError, match="dimension"):
+            f.evaluate(np.zeros((4, 3)))
+
+    def test_memory_bounded_independently_of_probe_count(self):
+        kernel = Kernel.multiquadric(1.0, 0.1, 2)
+        f = _random_expansion(kernel, np.random.default_rng(95), n_centers=500)
+        probes = np.random.default_rng(96).random((200_000, 2))
+        tracemalloc.start()
+        try:
+            f.evaluate_derivative((1, 0), probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestNativeNorm:

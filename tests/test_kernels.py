@@ -128,6 +128,60 @@ class TestEvaluateDerivative:
             kernel.evaluate_derivative((-1, 0), [0.1, 0.2])
 
 
+def _seed_tensor_value(kernel, diffs):
+    """Kernel value on an (..., dim) difference tensor, summed with np.sum."""
+    t = np.sum(diffs * diffs, axis=-1)
+    if kernel.family is KernelFamily.GAUSSIAN:
+        return np.exp(-kernel.beta * t)
+    half = kernel.beta / 2.0
+    return math.gamma(-half) * (kernel.c**2 + t) ** half
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda dim: Kernel.multiquadric(1.0, 0.3, dim),
+        lambda dim: Kernel.multiquadric(-1.0, 0.3, dim),
+        lambda dim: Kernel.gaussian(2.5, dim),
+    ],
+)
+def test_values_bit_identical_to_tensor_formula(dim, make):
+    kernel = make(dim)
+    rng = np.random.default_rng(11 + dim)
+    points = rng.uniform(-1.0, 1.0, size=(60, dim))
+    centers = rng.uniform(-1.0, 1.0, size=(45, dim))
+    assert np.array_equal(kernel.evaluate(points), _seed_tensor_value(kernel, points))
+    assert np.array_equal(
+        kernel.gram(points), _seed_tensor_value(kernel, points[:, None, :] - points)
+    )
+    assert np.array_equal(
+        kernel.cross((0,) * dim, points, centers),
+        _seed_tensor_value(kernel, points[:, None, :] - centers),
+    )
+
+
+def test_cross_derivative_matches_difference_tensor():
+    rng = np.random.default_rng(12)
+    for kernel in sample_kernels():
+        points = rng.normal(size=(30, kernel.dim))
+        centers = rng.normal(size=(17, kernel.dim))
+        for alpha in multi_indices_up_to(kernel.dim, 3):
+            assert np.array_equal(
+                kernel.cross(alpha, points, centers),
+                kernel.evaluate_derivative(alpha, points[:, None, :] - centers),
+            )
+
+
+def test_cross_checks_points_and_centers():
+    kernel = Kernel.gaussian(1.0, 2)
+    good = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="finite"):
+        kernel.cross((0, 0), good, [[0.0, math.nan]])
+    with pytest.raises(ValueError, match="dimension"):
+        kernel.cross((0, 0), np.zeros((3, 3)), good)
+
+
 def test_evenness():
     rng = np.random.default_rng(7)
     for kernel in sample_kernels():

@@ -72,6 +72,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="multi-index"):
             tiny_config(deriv_orders=((1, 0),))
 
+    @pytest.mark.parametrize("dps", [0, -3, 2.5, True])
+    def test_solver_dps_must_be_positive_int(self, dps):
+        with pytest.raises(ValueError, match="solver_dps"):
+            tiny_config(solver_dps=dps)
+        doc = tiny_config().to_dict()
+        doc["tolerances"]["solver_dps"] = dps
+        with pytest.raises(ValueError, match="solver_dps"):
+            StudyConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("resolution", [0, -5, 2.5, "64"])
+    def test_fill_resolution_must_be_positive_int(self, resolution):
+        doc = tiny_config().to_dict()
+        doc["fill_resolution"] = resolution
+        with pytest.raises(ValueError, match="fill_resolution"):
+            StudyConfig.from_dict(doc)
+
+    def test_oversized_lattice_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="probe_resolution.*bytes"):
+            tiny_config(
+                kernel=Kernel.gaussian(40.0, 3),
+                domain=CubeDomain.unit(3),
+                deriv_orders=(),
+                probe_resolution=2000,
+            )
+        with pytest.raises(ValueError, match="fill_resolution.*bytes"):
+            tiny_config(fill_resolution=2**25)
+
 
 class TestApproximand:
     def test_moment_conditions_projected(self):
