@@ -6,6 +6,15 @@ finest study levels sit far below it. This module redoes one level's
 solve-and-measure pipeline in mpmath arbitrary precision so the recorded
 errors are the true errors of the double-precision-defined approximand.
 Only the study harness uses it; the library's solver stays double.
+
+Each recorded number comes from the rounded mp operations of the plain
+per-entry formulas, in their order, less exact no-ops (``0 + x``, ``1 * x``,
+``x ** 1``); only repeated work is shared. ``MpCore`` builds the profile
+constants once and forms ``t`` and each profile derivative once per
+difference for all orders; ``approximand_on_probes`` evaluates f once per
+study; ``measure_level`` solves with ``lu_solve``, an LU on row lists
+repeating mpmath 1.3's ``lu_solve`` operation for operation, then makes
+one pass over the probes for all orders.
 """
 
 from __future__ import annotations
@@ -15,146 +24,199 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
+from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
 from rbfstudy.polybasis import MonomialBasis
 
 
-def _profile_deriv_mp(kernel: Kernel, j: int, t):
-    if kernel.family is KernelFamily.GAUSSIAN:
-        return (-mpf(kernel.beta)) ** j * mp.exp(-mpf(kernel.beta) * t)
-    half = mpf(kernel.beta) / 2
-    coeff = mp.gamma(-half)
-    for i in range(j):
-        coeff *= half - i
-    return coeff * t ** (half - j)
+class MpCore:
+    """Kernel and monomial derivatives of the orders ``(0,...,0) + alphas``,
+    built and used at one working precision; ``count`` asks for the first
+    ``count`` orders (1: the value)."""
+
+    def __init__(self, kernel: Kernel, alphas):
+        self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
+        self.gaussian = kernel.family is KernelFamily.GAUSSIAN
+        # per order: [(j, poly)], poly a list of (coeff, ((axis, e), ...)), or
+        # None for the constant polynomial 1, which leaves profile_j as it is
+        self.terms = [[(term.deriv_order, None if term.poly == {self.orders[0]: 1.0} else [
+            (mpf(coeff), tuple((axis, e) for axis, e in enumerate(expo) if e))
+            for expo, coeff in term.poly.items()
+        ]) for term in derivative_terms(kernel.dim, alpha)] for alpha in self.orders]
+        # profile orders the first ``count`` orders need, indexed by count
+        self.profile_orders = [sorted({j for terms in self.terms[:k] for j, _ in terms})
+                               for k in range(len(self.orders) + 1)]
+        top = self.profile_orders[-1][-1]
+        if self.gaussian:
+            self.neg_beta = -mpf(kernel.beta)
+            self.scale = [self.neg_beta ** j for j in range(top + 1)]
+        else:
+            self.shift = mpf(kernel.c) ** 2
+            half = mpf(kernel.beta) / 2
+            self.power = [half - j for j in range(top + 1)]
+            self.scale = [mp.gamma(-half)]
+            for p in self.power[:-1]:
+                self.scale.append(self.scale[-1] * p)
+        self.basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
+        # per order, per basis monomial: its derivative as a one-term poly,
+        # or None where it vanishes
+        self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
+                          for alpha in self.orders]
+
+    def kernel(self, diff, count: int) -> list:
+        """Derivatives of the first ``count`` orders at one difference vector."""
+        t = diff[0] * diff[0]
+        for v in diff[1:]:
+            t += v * v
+        if self.gaussian:
+            e = mp.exp(self.neg_beta * t)
+            profile = {j: self.scale[j] * e if j else e for j in self.profile_orders[count]}
+        else:
+            t = self.shift + t
+            profile = {j: self.scale[j] * t ** self.power[j]
+                       for j in self.profile_orders[count]}
+        out = []
+        for terms in self.terms[:count]:
+            total = None
+            for j, poly in terms:
+                value = profile[j] if poly is None else _poly_value(poly, diff) * profile[j]
+                total = value if total is None else total + value
+            out.append(total)
+        return out
+
+    def expansion(self, centers, weights, poly_coeffs, x, count: int) -> list:
+        """First ``count`` orders of ``sum_k weights[k] * kernel(x - centers[k])``
+        plus ``sum_i poly_coeffs[i] * monomial_i(x)``."""
+        totals = [mpf(0)] * count
+        for center, weight in zip(centers, weights):
+            values = self.kernel([xv - cv for xv, cv in zip(x, center)], count)
+            totals = [total + weight * v for total, v in zip(totals, values)]
+        for k in range(count):
+            for coeff, mono in zip(poly_coeffs, self.monomials[k]):
+                if mono is not None:
+                    totals[k] += coeff * _poly_value(mono, x)
+        return totals
 
 
-def _shift_mp(kernel: Kernel):
-    return mpf(kernel.c) ** 2 if kernel.family is KernelFamily.MULTIQUADRIC else mpf(0)
-
-
-def _kernel_deriv_mp(kernel: Kernel, alpha: tuple[int, ...], diff):
-    """alpha-derivative of the kernel at one difference vector (list of mpf)."""
-    t = _shift_mp(kernel) + sum(v * v for v in diff)
-    total = mpf(0)
-    for profile_term in derivative_terms(kernel.dim, alpha):
-        poly_val = mpf(0)
-        for expo, coeff in profile_term.poly.items():
-            term = mpf(coeff)
-            for axis, e in enumerate(expo):
-                if e:
-                    term *= diff[axis] ** e
-            poly_val += term
-        total += poly_val * _profile_deriv_mp(kernel, profile_term.deriv_order, t)
-    return total
-
-
-def _monomial_deriv_mp(expo: tuple[int, ...], alpha: tuple[int, ...], x):
+def _monomial(expo, alpha):
     factor = mpf(1)
     for e, a in zip(expo, alpha):
         if a > e:
-            return mpf(0)
+            return None
         for i in range(a):
             factor *= e - i
-    for axis, (e, a) in enumerate(zip(expo, alpha)):
-        if e - a:
-            factor *= x[axis] ** (e - a)
-    return factor
+    return [(factor, tuple((axis, e - a) for axis, (e, a) in enumerate(zip(expo, alpha))
+                           if e - a))]
 
 
-def _expansion_deriv_mp(kernel, centers, weights, basis, poly_coeffs, alpha, x):
-    total = mpf(0)
-    for center, weight in zip(centers, weights):
-        diff = [xv - cv for xv, cv in zip(x, center)]
-        total += weight * _kernel_deriv_mp(kernel, alpha, diff)
-    for expo, coeff in zip(basis.exponents, poly_coeffs):
-        total += coeff * _monomial_deriv_mp(expo, alpha, x)
+def _poly_value(poly, x):
+    total = None
+    for coeff, powers in poly:
+        term = coeff
+        for axis, e in powers:
+            term *= x[axis] if e == 1 else x[axis] ** e
+        total = term if total is None else total + term
     return total
 
 
-def measure_level(
-    kernel: Kernel,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    poly_coeffs: np.ndarray,
-    nodes: np.ndarray,
-    probes: np.ndarray,
-    inner_probes: np.ndarray,
-    alphas: tuple[tuple[int, ...], ...],
-    dps: int,
-) -> tuple[float, dict[tuple[int, ...], float]]:
+def _mp_rows(points) -> list:
+    return [[mpf(v) for v in row] for row in np.atleast_2d(points)]
+
+
+def approximand_on_probes(kernel, centers, weights, poly_coeffs, probes, inner_mask,
+                          alphas, dps) -> list:
+    """The approximand in mp, once per study, for ``measure_level``: per probe,
+    its mp coordinates and f's value, then at inner probes each derivative."""
+    with mp.workdps(dps):
+        core = MpCore(kernel, alphas)
+        mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
+        mp_poly = [mpf(v) for v in poly_coeffs]
+        return [(x, core.expansion(mp_centers, mp_weights, mp_poly, x,
+                                   len(core.orders) if inner else 1))
+                for x, inner in zip(_mp_rows(probes), inner_mask)]
+
+
+def lu_solve(system: list, rhs: list, cond_estimate: float):
+    """Solve ``system @ x = rhs`` (lists of mpf) by the operations of mpmath
+    1.3's ``lu_solve``: 10 more bits, the row maximizing ``|a_kj| / sum_l |a_kl|``
+    as pivot, tolerance ``mnorm(A, 1) * eps``. Returns ``(x, factors, pivots)``:
+    the packed L\\U rows and the row swapped in at each step. A row sum or
+    pivot at or below the tolerance raises SingularSystemError reporting
+    ``cond_estimate``."""
+    n = len(system)
+    with mp.workprec(mp.prec + 10):
+        a = [list(row) for row in system]
+        tol = abs(max(mp.fsum((row[j] for row in a), absolute=1) for j in range(n)) * mp.eps)
+        pivots = []
+        for j in range(n):
+            if j < n - 1:
+                biggest, pivot = 0, j
+                for k in range(j, n):
+                    s = mp.fsum([abs(v) for v in a[k][j:]])
+                    if abs(s) <= tol:
+                        raise SingularSystemError("mp LU row sum below tolerance", cond_estimate)
+                    current = 1 / s * abs(a[k][j])
+                    if current > biggest:
+                        biggest, pivot = current, k
+                a[j], a[pivot] = a[pivot], a[j]
+                pivots.append(pivot)
+            top = a[j]
+            if abs(top[j]) <= tol:
+                raise SingularSystemError(f"mp LU pivot {j} below tolerance", cond_estimate)
+            for row in a[j + 1:]:
+                row[j] /= top[j]
+                for k in range(j + 1, n):
+                    row[k] -= row[j] * top[k]
+        x = list(rhs)
+        for k, p in enumerate(pivots):
+            x[k], x[p] = x[p], x[k]
+        for i in range(1, n):
+            for j in range(i):
+                x[i] -= a[i][j] * x[j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                x[i] -= a[i][j] * x[j]
+            x[i] /= a[i][i]
+    return x, a, pivots
+
+
+def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
+                  poly_coeffs: np.ndarray, nodes: np.ndarray, probes: np.ndarray,
+                  inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...], dps: int,
+                  f_on_probes: list, cond_estimate: float) -> tuple[float, dict]:
     """Solve one refinement level and measure sup errors in mp arithmetic.
 
     The approximand (kernel expansion given by float centers, weights, and
     polynomial coefficients) is interpolated at the nodes; returns the sup
     of the value error over ``probes`` and of each derivative error over
-    ``inner_probes``, both cast back to float.
-    """
+    ``inner_probes``, both cast back to float. ``f_on_probes`` is
+    ``approximand_on_probes`` of the same probes, alphas and dps;
+    ``cond_estimate`` is reported if the solve finds the system singular."""
+    inner_count = sum(len(values) > 1 for _, values in f_on_probes)
+    if len(f_on_probes) != len(probes) or (alphas and inner_count != len(inner_probes)):
+        raise ValueError("f_on_probes does not match the probes and inner probes")
     with mp.workdps(dps):
-        basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
-        zero_alpha = (0,) * kernel.dim
-        mp_centers = [[mpf(v) for v in row] for row in np.atleast_2d(centers)]
-        mp_weights = [mpf(v) for v in weights]
+        core = MpCore(kernel, alphas)
+        mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
         mp_poly = [mpf(v) for v in poly_coeffs]
-        mp_nodes = [[mpf(v) for v in row] for row in np.atleast_2d(nodes)]
-        n, q = len(mp_nodes), basis.size
-
-        system = mp.matrix(n + q, n + q)
-        for i in range(n):
+        mp_nodes = _mp_rows(nodes)
+        n, q = len(mp_nodes), core.basis.size
+        system = [[mpf(0)] * (n + q) for _ in range(n + q)]
+        for i, xi in enumerate(mp_nodes):
             for j in range(i, n):
-                diff = [a - b for a, b in zip(mp_nodes[i], mp_nodes[j])]
-                val = _kernel_deriv_mp(kernel, zero_alpha, diff)
-                system[i, j] = val
-                system[j, i] = val
-            for k, expo in enumerate(basis.exponents):
-                val = _monomial_deriv_mp(expo, zero_alpha, mp_nodes[i])
-                system[i, n + k] = val
-                system[n + k, i] = val
-        rhs = mp.matrix(n + q, 1)
-        for i in range(n):
-            rhs[i] = _expansion_deriv_mp(
-                kernel, mp_centers, mp_weights, basis, mp_poly, zero_alpha, mp_nodes[i]
-            )
-        solution = mp.lu_solve(system, rhs)
-        coeffs = [solution[i] for i in range(n)]
-        sol_poly = [solution[n + k] for k in range(q)]
-
-        def sup_error(points, alpha):
-            worst = mpf(0)
-            for row in np.atleast_2d(points):
-                x = [mpf(v) for v in row]
-                fv = _expansion_deriv_mp(
-                    kernel, mp_centers, mp_weights, basis, mp_poly, alpha, x
-                )
-                sv = _expansion_deriv_mp(
-                    kernel, mp_nodes, coeffs, basis, sol_poly, alpha, x
-                )
-                err = abs(fv - sv)
-                if err > worst:
-                    worst = err
-            return float(worst)
-
-        value_error = sup_error(probes, zero_alpha)
-        deriv_errors = {alpha: sup_error(inner_probes, alpha) for alpha in alphas}
-    return value_error, deriv_errors
-
-
-def native_norm_mp(kernel: Kernel, centers: np.ndarray, weights: np.ndarray, dps: int) -> float:
-    """Native-space semi-norm of an expansion, evaluated in mp arithmetic."""
-    with mp.workdps(dps):
-        zero_alpha = (0,) * kernel.dim
-        mp_centers = [[mpf(v) for v in row] for row in np.atleast_2d(centers)]
-        mp_weights = [mpf(v) for v in weights]
-        quad = mpf(0)
-        for i, ci in enumerate(mp_centers):
-            for j, cj in enumerate(mp_centers):
-                diff = [a - b for a, b in zip(ci, cj)]
-                quad += mp_weights[i] * mp_weights[j] * _kernel_deriv_mp(
-                    kernel, zero_alpha, diff
-                )
-        if quad < 0:
-            quad = mpf(0)
-        return float(mp.sqrt(quad))
+                diff = [a - b for a, b in zip(xi, mp_nodes[j])]
+                system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
+            for k, mono in enumerate(core.monomials[0]):
+                system[i][n + k] = system[n + k][i] = _poly_value(mono, xi)
+        rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
+        solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
+        coeffs, sol_poly = solution[:n], solution[n:]
+        worst = [mpf(0)] * len(core.orders)
+        for x, f_values in f_on_probes:
+            s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
+            for k, (fv, sv) in enumerate(zip(f_values, s_values)):
+                worst[k] = max(worst[k], abs(fv - sv))
+    return float(worst[0]), {alpha: float(w) for alpha, w in zip(alphas, worst[1:])}
 
 
 def estimate_condition(system: np.ndarray) -> float:

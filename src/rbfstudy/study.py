@@ -61,6 +61,10 @@ NO_REGIME = "-"
 # many points already takes 400 MB for its coordinates alone.
 MAX_LATTICE_POINTS = 2**24
 
+# Decimal digits double precision carries; a solver_dps at or below it would
+# measure errors no finer than the double path does.
+DOUBLE_DIGITS = 15
+
 
 def alpha_tag(alpha) -> str:
     return "-".join(str(int(a)) for a in alpha)
@@ -193,6 +197,11 @@ class StudyConfig:
             raise ValueError("probe_resolution must be >= 2")
         _check_optional_positive_int("fill_resolution", self.fill_resolution)
         _check_optional_positive_int("tolerances.solver_dps", self.solver_dps)
+        if self.solver_dps is not None and self.solver_dps <= DOUBLE_DIGITS:
+            raise ValueError(
+                f"tolerances.solver_dps must exceed double precision's {DOUBLE_DIGITS} "
+                f"digits, got {self.solver_dps}"
+            )
         dim = self.kernel.dim
         fill_res = self.fill_resolution or default_fill_resolution(dim)
         _check_lattice_size("probe_resolution", self.probe_resolution**dim, dim)
@@ -403,7 +412,7 @@ def _measure_level_double(config, f, nodes, probes, inner, f_probe, f_deriv):
     return value_error, deriv_errors, interp.cond_estimate
 
 
-def _measure_level_mp(config, f, nodes, probes, inner):
+def _measure_level_mp(config, f, nodes, probes, inner, f_mp):
     system, _ = assemble_system(config.kernel, nodes)
     cond = highprec.estimate_condition(system)
     if cond > config.cond_limit:
@@ -418,6 +427,8 @@ def _measure_level_mp(config, f, nodes, probes, inner):
         inner,
         config.deriv_orders,
         config.solver_dps,
+        f_mp,
+        cond,
     )
     return value_error, deriv_errors, cond
 
@@ -435,14 +446,21 @@ def run_study(config: StudyConfig) -> StudyResult:
     f = build_approximand(config)
     norm_f = f.native_norm()
     probes = uniform_grid(config.domain, config.probe_resolution)
-    inner = probes[_inner_probe_mask(config.domain, probes, config.delta)]
+    inner_mask = _inner_probe_mask(config.domain, probes, config.delta)
+    inner = probes[inner_mask]
     if len(inner) == 0:
         raise ValueError("no probe points keep a delta-ball inside the domain")
-    f_probe = np.atleast_1d(f.evaluate(probes))
-    f_deriv = {
-        alpha: np.atleast_1d(f.evaluate_derivative(alpha, inner))
-        for alpha in config.deriv_orders
-    }
+    if config.solver_dps is not None:
+        f_mp = highprec.approximand_on_probes(
+            config.kernel, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask,
+            config.deriv_orders, config.solver_dps,
+        )
+    else:
+        f_probe = np.atleast_1d(f.evaluate(probes))
+        f_deriv = {
+            alpha: np.atleast_1d(f.evaluate_derivative(alpha, inner))
+            for alpha in config.deriv_orders
+        }
 
     rows: list[StudyRow] = []
     failed = 0
@@ -454,7 +472,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         try:
             if config.solver_dps is not None:
                 value_error, deriv_errors, cond = _measure_level_mp(
-                    config, f, nodes, probes, inner
+                    config, f, nodes, probes, inner, f_mp
                 )
             else:
                 value_error, deriv_errors, cond = _measure_level_double(

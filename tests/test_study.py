@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rbfstudy import highprec
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
 from rbfstudy.geometry import CubeDomain
 from rbfstudy.kernels import Kernel
@@ -72,7 +73,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="multi-index"):
             tiny_config(deriv_orders=((1, 0),))
 
-    @pytest.mark.parametrize("dps", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("dps", [0, -3, 2.5, True, 2, 15])
     def test_solver_dps_must_be_positive_int(self, dps):
         with pytest.raises(ValueError, match="solver_dps"):
             tiny_config(solver_dps=dps)
@@ -292,16 +293,59 @@ class TestCheckBounds:
         assert shrunk.regime_counts["large-d"] > baseline.regime_counts["large-d"]
 
 
-def test_extended_precision_matches_double_path():
+def _assert_extended_matches_double(**overrides):
     # on a well-conditioned study the mp pipeline and the double pipeline
     # are independent routes to the same sup errors
-    plain = run_study(tiny_config(spacings=(0.5, 0.25, 0.125), deriv_orders=((1,),)))
-    extended = run_study(
-        tiny_config(spacings=(0.5, 0.25, 0.125), deriv_orders=((1,),), solver_dps=30)
-    )
+    plain = run_study(tiny_config(**overrides))
+    extended = run_study(tiny_config(solver_dps=30, **overrides))
+    assert len(plain.rows) == len(extended.rows) and plain.failed_levels == 0
     for a, b in zip(plain.rows, extended.rows):
         assert a.alpha_tag == b.alpha_tag and a.level == b.level
         assert a.sup_error == pytest.approx(b.sup_error, rel=1e-8)
+
+
+def test_extended_precision_matches_double_path():
+    _assert_extended_matches_double(spacings=(0.5, 0.25, 0.125), deriv_orders=((1,),))
+
+
+def test_extended_precision_matches_double_path_2d():
+    _assert_extended_matches_double(
+        kernel=Kernel.multiquadric(1.0, 0.5, 2),
+        domain=CubeDomain.unit(2),
+        spacings=(0.5, 0.25),
+        deriv_orders=((1, 0), (0, 1)),
+        probe_resolution=21,
+        fill_resolution=16,
+    )
+
+
+def test_extended_precision_matches_double_path_linear_tail():
+    # beta = 3 has cpd order 2, so the tail {1, x} has a derivative that is not zero
+    _assert_extended_matches_double(
+        kernel=Kernel.multiquadric(3.0, 0.5, 1),
+        spacings=(0.5, 0.25, 0.125),
+        deriv_orders=((1,),),
+    )
+
+
+def test_approximand_evaluated_in_mp_once_per_study(monkeypatch):
+    sizes = []
+    expansion = highprec.MpCore.expansion
+
+    def counting(self, centers, *args):
+        sizes.append(len(centers))
+        return expansion(self, centers, *args)
+
+    monkeypatch.setattr(highprec.MpCore, "expansion", counting)
+    config = tiny_config(spacings=(0.5, 0.25, 0.125), solver_dps=30)
+    result = run_study(config)
+    node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
+    n_f = config.approximand.centers_count
+    assert len(node_counts) == 3 and n_f not in node_counts
+    # f at every probe once, plus f at each level's nodes for the right-hand side
+    assert sizes.count(n_f) == config.probe_resolution + sum(node_counts)
+    # the interpolant at every probe, once per level
+    assert len(sizes) - sizes.count(n_f) == 3 * config.probe_resolution
 
 
 def test_gorny_campaign_deterministic():
