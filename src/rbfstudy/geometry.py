@@ -197,26 +197,26 @@ def coverage_check(domain: CubeDomain, nodes: PointSet, d: float) -> bool:
     return True
 
 
-def _van_der_corput(index: int, base: int) -> float:
-    value, denom = 0.0, 1.0
-    while index:
-        denom *= base
-        index, remainder = divmod(index, base)
-        value += remainder / denom
-    return value
-
-
 def halton_points(count: int, dim: int) -> np.ndarray:
     """First ``count`` points of the Halton sequence in [0, 1]^dim.
 
     Bases are the first dim primes; indexing starts at 1 so the first
-    point is (1/2, 1/3, ...).
+    point is (1/2, 1/3, ...). Each axis is the van der Corput radical
+    inverse, its digit loop run over all indices at once; an index that
+    has run out of digits adds exact zeros.
     """
     if dim > len(_PRIMES):
         raise ValueError(f"halton generator supports dim <= {len(_PRIMES)}")
-    return np.array(
-        [[_van_der_corput(i, _PRIMES[a]) for a in range(dim)] for i in range(1, count + 1)]
-    )
+    points = np.empty((count, dim))
+    for a in range(dim):
+        index = np.arange(1, count + 1)
+        value, denom = np.zeros(count), 1.0
+        while index.any():
+            denom *= _PRIMES[a]
+            index, remainder = np.divmod(index, _PRIMES[a])
+            value += remainder / denom
+        points[:, a] = value
+    return points
 
 
 def generate_points(

@@ -22,23 +22,24 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from rbfstudy.geometry import PointSet
-from rbfstudy.kernels import Kernel
+from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel
 from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 
 INTERPOLANT_FORMAT_VERSION = 1
 
 # Past this 2-norm condition estimate the factorization is numerically
 # meaningless in double precision and the solve is refused. The estimate
-# is max|lambda| / min|lambda| over the symmetric eigenvalues, computed in
-# double, so it saturates near 1e16..1e17: a truly worse system can read
-# below this limit.
+# is max|lambda| / min|lambda| over the symmetric eigenvalues, read by
+# Lanczos on the system and on its LDL^T factors; above RESOLVED_COND it is
+# taken from the full set of eigenvalues instead, computed in double, which
+# saturates near 1e16..1e17: a truly worse system can read below this limit.
 DEFAULT_COND_LIMIT = 1e18
 
-# Point-center pairs per block of expansion evaluation: each float64
-# temporary of a block takes 1 MB, whatever the number of probes. Blocks of
-# 2**19 pairs and more ran about 1.7x slower on a host with 2 MiB of L2
-# cache per core; 2**16 to 2**18 ran alike.
-EVAL_BLOCK_PAIRS = 2**17
+# Above this condition double precision cannot resolve min|lambda|, and
+# what a method reads depends on the method. Such systems report the
+# eigenvalue reading (``_condition_2norm``) so that every gate decision
+# and saturated reading stays that of one fixed method.
+RESOLVED_COND = 1e13
 
 
 class SingularSystemError(RuntimeError):
@@ -194,13 +195,19 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     """Solve the saddle-point interpolation system.
 
     Assembles [[A, P], [P^T, 0]] with A the kernel Gram matrix on the nodes
-    and P the polynomial evaluation matrix. The reported condition estimate
-    is the 2-norm condition max|lambda| / min|lambda| from the symmetric
-    eigenvalues; computed in double it saturates near 1e16..1e17. A system
-    whose estimate exceeds ``cond_limit`` raises SingularSystemError
-    instead of being silently regularized. Otherwise the system is factored
-    once (dense symmetric-indefinite LDL^T) and that factorization serves
-    the solve and two steps of iterative refinement.
+    and P the polynomial evaluation matrix, and factors it once (dense
+    symmetric-indefinite LDL^T). That factorization serves the condition
+    estimate, the solve and two steps of iterative refinement.
+
+    The reported condition estimate is the 2-norm condition
+    max|lambda| / min|lambda| of the symmetric system, read as
+    |lambda|max(S) * |lambda|max(S^-1) by Lanczos on S and on its factors.
+    Above RESOLVED_COND double precision cannot resolve min|lambda|, and
+    the estimate is then the one from the full set of eigenvalues, which
+    saturates near 1e16..1e17. A system whose estimate exceeds
+    ``cond_limit``, that is not finite, or whose factor D is exactly
+    singular raises SingularSystemError instead of being silently
+    regularized.
     """
     kernel, nodes = problem.kernel, problem.nodes
     m = problem.cpd_order
@@ -212,16 +219,28 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     system, basis = assemble_system(kernel, nodes)
     rhs = np.concatenate([problem.values, np.zeros(basis.size)])
 
-    cond = _condition_2norm(system)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularSystemError("saddle-point system too ill-conditioned", cond)
+    if not np.all(np.isfinite(system)):
+        raise SingularSystemError("saddle-point system too ill-conditioned", float("inf"))
     lwork, _ = scipy.linalg.lapack.dsytrf_lwork(len(system))
     factors, pivots, info = scipy.linalg.lapack.dsytrf(system, lwork=int(lwork))
     if info > 0:
-        raise SingularSystemError(f"LDL^T factor D is exactly singular at {info}", cond)
+        raise SingularSystemError(
+            f"LDL^T factor D is exactly singular at {info}", _condition_2norm(system)
+        )
 
     def backsolve(b):
         return scipy.linalg.lapack.dsytrs(factors, pivots, b)[0]
+
+    # A system scaled near the underflow limit overflows in products with
+    # its inverse; the Lanczos reading is then infinite and not used.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = _lanczos_max_abs(lambda v: system @ v, len(system)) * _lanczos_max_abs(
+            backsolve, len(system)
+        )
+    if not cond <= RESOLVED_COND:
+        cond = _condition_2norm(system)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularSystemError("saddle-point system too ill-conditioned", cond)
 
     solution = backsolve(rhs)
     # Two steps of iterative refinement push the nodal residual back
@@ -231,14 +250,46 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     return Interpolant(kernel, nodes, solution[:n], solution[n:], cond)
 
 
-def _condition_2norm(system: np.ndarray) -> float:
-    """2-norm condition max|lambda| / min|lambda| of a symmetric matrix.
+def _lanczos_max_abs(apply, size: int) -> float:
+    """Largest |eigenvalue| of the symmetric linear map ``apply`` on R^size.
 
-    Infinite when an entry is not finite, an eigenvalue is exactly zero or
-    the eigenvalue iteration fails.
+    Lanczos with full reorthogonalization. The start vector is drawn from a
+    fixed seed, so the reading is the same bits on every call. The
+    iteration stops when the extreme Ritz pair's residual
+    beta_k * |s_k| is at most 1e-10 of its Ritz value, or after ``size``
+    steps, when the Krylov space is the whole space. Infinite when the
+    iteration overflows.
     """
-    if not np.all(np.isfinite(system)):
-        return float("inf")
+    vector = np.random.default_rng(0).standard_normal(size)
+    vector /= np.linalg.norm(vector)
+    lanczos, alphas, betas = [], [], []
+    for _ in range(size):
+        lanczos.append(vector)
+        w = apply(vector)
+        alphas.append(vector @ w)
+        w -= alphas[-1] * vector
+        if betas:
+            w -= betas[-1] * lanczos[-2]
+        basis = np.array(lanczos)
+        w -= basis.T @ (basis @ w)
+        beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            return float("inf")
+        ritz, vectors = scipy.linalg.eigh_tridiagonal(alphas, betas)
+        k = np.argmax(np.abs(ritz))
+        if beta * abs(vectors[-1, k]) <= 1e-10 * abs(ritz[k]):
+            break
+        betas.append(beta)
+        vector = w / beta
+    return float(abs(ritz[k]))
+
+
+def _condition_2norm(system: np.ndarray) -> float:
+    """2-norm condition max|lambda| / min|lambda| of a finite symmetric matrix.
+
+    Infinite when an eigenvalue is exactly zero or the eigenvalue iteration
+    fails.
+    """
     try:
         eigenvalues = scipy.linalg.eigvalsh(system, check_finite=False)
     except np.linalg.LinAlgError:

@@ -174,6 +174,25 @@ def test_halton_van_der_corput_values():
     assert np.allclose(pts, [1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8])
 
 
+def _van_der_corput(index: int, base: int) -> float:
+    """Scalar radical inverse: the reference for the vectorized generator."""
+    value, denom = 0.0, 1.0
+    while index:
+        denom *= base
+        index, remainder = divmod(index, base)
+        value += remainder / denom
+    return value
+
+
+@pytest.mark.parametrize("count,dim", [(1, 3), (250, 3), (2000, 3), (5000, 3), (300, 10)])
+def test_halton_same_bits_as_scalar_radical_inverse(count, dim):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)[:dim]
+    expected = np.array(
+        [[_van_der_corput(i, base) for base in bases] for i in range(1, count + 1)]
+    )
+    assert np.array_equal(halton_points(count, dim), expected)
+
+
 def test_three_dimensional_paths():
     domain = CubeDomain.unit(3)
     nodes = generate_points(domain, "grid", spacing=0.5)

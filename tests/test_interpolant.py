@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from rbfstudy import interpolant as interpolant_module
 from rbfstudy.geometry import CubeDomain, PointSet, generate_points
 from rbfstudy.interpolant import (
+    RESOLVED_COND,
     InterpolationProblem,
     Interpolant,
     KernelExpansion,
@@ -121,13 +123,79 @@ class TestSolveExamples:
         # zero pivot.
         kernel = Kernel.gaussian(1e-20, 1)
         nodes = PointSet.from_array(np.linspace(0.0, 1.0, count)[:, None])
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as info:
             solve(InterpolationProblem(kernel, nodes, np.ones(count)))
+        if count == 2:
+            assert info.value.cond_estimate == math.inf
 
     def test_value_count_mismatch(self):
         kernel = Kernel.gaussian(1.0, 1)
         with pytest.raises(ValueError):
             InterpolationProblem(kernel, PointSet.from_array([[0.0], [1.0]]), [1.0])
+
+
+class TestConditionEstimate:
+    """Lanczos on the system and its LDL^T factors against all eigenvalues."""
+
+    @staticmethod
+    def _halton_case(kernel, count):
+        nodes = generate_points(CubeDomain.unit(kernel.dim), "halton", count=count)
+        values = np.sin(3.0 * nodes.points).sum(axis=1)
+        system, _ = assemble_system(kernel, nodes)
+        return InterpolationProblem(kernel, nodes, values), system
+
+    @pytest.mark.parametrize(
+        "kernel,count",
+        [
+            (Kernel.multiquadric(1.0, 0.1, 2), 250),
+            (Kernel.multiquadric(1.0, 0.1, 2), 500),
+            (Kernel.multiquadric(1.0, 0.1, 2), 1000),
+            (Kernel.gaussian(20.0, 2), 100),
+        ],
+    )
+    def test_matches_eigenvalue_condition(self, kernel, count):
+        problem, system = self._halton_case(kernel, count)
+        cond = solve(problem).cond_estimate
+        assert cond <= RESOLVED_COND
+        assert cond == pytest.approx(interpolant_module._condition_2norm(system), rel=1e-6)
+
+    def test_same_bits_on_every_call(self):
+        problem, _ = self._halton_case(Kernel.multiquadric(1.0, 0.1, 2), 250)
+        first, second = solve(problem).cond_estimate, solve(problem).cond_estimate
+        assert np.float64(first).tobytes() == np.float64(second).tobytes()
+
+    def test_saturated_system_reports_eigenvalue_reading(self):
+        # The finest level of the small Gaussian study in test_study.py: its
+        # true condition is about 1e20. Lanczos on the factors reads 3.7e18,
+        # above the default limit, where the eigenvalues read 3.4e16.
+        kernel = Kernel.gaussian(40.0, 1)
+        nodes = generate_points(CubeDomain.unit(1), "grid", spacing=0.03125)
+        system, _ = assemble_system(kernel, nodes)
+        factors, pivots, info = scipy.linalg.lapack.dsytrf(system)
+        assert info == 0
+        lanczos = interpolant_module._lanczos_max_abs(
+            lambda v: system @ v, len(system)
+        ) * interpolant_module._lanczos_max_abs(
+            lambda v: scipy.linalg.lapack.dsytrs(factors, pivots, v)[0], len(system)
+        )
+        assert lanczos > RESOLVED_COND
+        values = np.cos(nodes.points[:, 0])
+        interp = solve(InterpolationProblem(kernel, nodes, values))
+        assert interp.cond_estimate == interpolant_module._condition_2norm(system)
+        # At a true condition of 1e20 the nodal residual reads about 1e-5.
+        assert np.max(np.abs(interp.evaluate(nodes.points) - values)) < 1e-4
+
+    def test_overflowing_inverse_reports_eigenvalue_reading(self):
+        # Entries near 1e-161: products with the inverse overflow in double,
+        # and the reading falls back to the eigenvalues without a warning.
+        kernel = Kernel.multiquadric(-121.0, 100.0, 1)
+        nodes = PointSet.from_array(np.linspace(0.0, 1.0, 3)[:, None])
+        system, _ = assemble_system(kernel, nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interp = solve(InterpolationProblem(kernel, nodes, np.ones(3)))
+        assert interp.cond_estimate == interpolant_module._condition_2norm(system)
+        assert interp.cond_estimate < 1e6
 
 
 def _solve_well_conditioned(kernel, rng, count, cond_limit=1e8, attempts=60):

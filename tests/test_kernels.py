@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from rbfstudy import kernels as kernels_module
 from rbfstudy.kernels import (
     Kernel,
     KernelFamily,
@@ -159,6 +161,33 @@ def test_values_bit_identical_to_tensor_formula(dim, make):
         kernel.cross((0,) * dim, points, centers),
         _seed_tensor_value(kernel, points[:, None, :] - centers),
     )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gram_blocks_same_bits_as_one_cross(dim, monkeypatch):
+    rng = np.random.default_rng(20 + dim)
+    points = rng.uniform(-1.0, 1.0, size=(50, dim))
+    kernels = [Kernel.multiquadric(1.0, 0.3, dim), Kernel.gaussian(2.5, dim)]
+    expected = [kernel.cross((0,) * dim, points, points) for kernel in kernels]
+    # Blocks of 7 rows: the last block holds a single row.
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 7 * 50 + 3)
+    for kernel, full in zip(kernels, expected):
+        assert np.array_equal(kernel.gram(points), full)
+
+
+def test_gram_memory_is_the_result_plus_a_block():
+    kernel = Kernel.multiquadric(1.0, 0.1, 2)
+    points = np.random.default_rng(21).random((2000, 2))
+    tracemalloc.start()
+    try:
+        gram = kernel.gram(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (2000, 2000)
+    # The result takes 32 MB and each block temporary 1 MB; one unblocked
+    # cross over all pairs peaked near 122 MB.
+    assert peak < 48 * 2**20
 
 
 def test_cross_derivative_matches_difference_tensor():
