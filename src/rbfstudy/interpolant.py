@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from rbfstudy.geometry import PointSet
-from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel
+from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel, Workspace
 from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 
 INTERPOLANT_FORMAT_VERSION = 1
@@ -76,15 +76,20 @@ def _expansion_derivative(kernel, centers, weights, basis, poly_coeffs, alpha, x
     """D^alpha of p + sum_j w_j h(. - z_j) at a point (dim,) or batch (..., dim).
 
     The probes are walked in blocks of about EVAL_BLOCK_PAIRS point-center
-    pairs, so memory does not grow with the number of probes.
+    pairs, so memory does not grow with the number of probes. Every block
+    runs the kernel core in one Workspace, allocated once per call: fresh
+    block-sized arrays per block would be returned to the kernel and
+    faulted in again, zero-filled, by the next block. With no centers the
+    value is the polynomial part alone.
     """
     x = kernel._check_points(x)
     flat = x.reshape(-1, kernel.dim)
     out = np.empty(len(flat))
-    step = max(1, EVAL_BLOCK_PAIRS // len(centers))
+    step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
+    work = Workspace(min(step, len(flat)), (len(centers),))
     for start in range(0, len(flat), step):
         block = flat[start:start + step]
-        value = kernel.cross(alpha, block, centers) @ weights
+        value = kernel.cross(alpha, block, centers, work) @ weights
         if basis.size:
             value += basis.evaluate_derivative(poly_coeffs, alpha, block)
         out[start:start + step] = value

@@ -361,6 +361,24 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_no_centers_leaves_the_polynomial_part(self, dim):
+        none = PointSet(dim, np.zeros((0, dim)))
+        probes = np.random.default_rng(97).random((7, dim))
+        first = (1,) + (0,) * (dim - 1)
+        # Multiquadric beta = 1: a constant polynomial part and no kernel part.
+        f = KernelExpansion(Kernel.multiquadric(1.0, 1.0, dim), none, [], [3.5])
+        assert f.basis.size == 1
+        assert np.array_equal(f.evaluate(probes), np.full(7, 3.5))
+        assert f.evaluate(probes[0]) == 3.5
+        assert np.array_equal(f.evaluate_derivative(first, probes), np.zeros(7))
+        assert f.native_norm() == 0.0
+        # Gaussian: no polynomial part either, so the expansion is zero.
+        g = KernelExpansion(Kernel.gaussian(1.0, dim), none, [])
+        assert np.array_equal(g.evaluate(probes), np.zeros(7))
+        assert np.array_equal(g.evaluate_derivative(first, probes), np.zeros(7))
+        assert g.native_norm() == 0.0
+
 
 class TestNativeNorm:
     def test_single_center_gaussian(self):

@@ -7,10 +7,12 @@ import pytest
 
 from rbfstudy import kernels as kernels_module
 from rbfstudy.kernels import (
+    EVAL_BLOCK_PAIRS,
     Kernel,
     KernelFamily,
     MAX_DERIVATIVE_ORDER,
     UnsupportedOrderError,
+    Workspace,
     _differentiate_terms,
     derivative_terms,
 )
@@ -190,6 +192,149 @@ def test_gram_memory_is_the_result_plus_a_block():
     assert peak < 48 * 2**20
 
 
+# The allocating kernel core that the workspace core replaced, kept as the
+# reference: every step makes a fresh array. The workspace core must repeat
+# its operations in the same order and give the same bits.
+
+def _seed_profile_deriv(kernel, j, t):
+    if kernel.family is KernelFamily.GAUSSIAN:
+        out = np.exp(-kernel.beta * t)
+        out *= (-kernel.beta) ** j
+        return out
+    half = kernel.beta / 2.0
+    coeff = math.gamma(-half)
+    for i in range(j):
+        coeff *= half - i
+    out = t ** (half - j)
+    out *= coeff
+    return out
+
+
+def _seed_eval_poly(poly, planes):
+    out = None
+    for expo, coeff in poly.items():
+        term = coeff
+        for plane, e in zip(planes, expo):
+            if e:
+                term = term * plane**e
+        out = term if out is None else out + term
+    return out
+
+
+def _seed_on_planes(kernel, alpha, planes):
+    t = planes[0] * planes[0]
+    for plane in planes[1:]:
+        t += plane * plane
+    t += kernel.c**2 if kernel.family is KernelFamily.MULTIQUADRIC else 0.0
+    out = None
+    for term in derivative_terms(kernel.dim, alpha):
+        value = _seed_profile_deriv(kernel, term.deriv_order, t)
+        if term.poly != {(0,) * kernel.dim: 1.0}:
+            value *= _seed_eval_poly(term.poly, planes)
+        out = value if out is None else out + value
+    return out
+
+
+def _seed_cross(kernel, alpha, x, centers):
+    planes = [x[:, i, None] - centers[None, :, i] for i in range(kernel.dim)]
+    return _seed_on_planes(kernel, alpha, planes)
+
+
+def _seed_at_points(kernel, alpha, x):
+    return _seed_on_planes(kernel, alpha, [x[..., i] for i in range(kernel.dim)])
+
+
+def _workspace_kernels(dim):
+    # beta = 1 takes the sqrt fast path of ** 0.5; beta = 3 takes t**1.5.
+    return [
+        Kernel.multiquadric(1.0, 0.3, dim),
+        Kernel.multiquadric(-1.0, 0.3, dim),
+        Kernel.multiquadric(3.0, 0.4, dim),
+        Kernel.gaussian(2.5, dim),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_workspace_core_bit_identical_to_allocating_core(dim):
+    rng = np.random.default_rng(30 + dim)
+    points = rng.uniform(-1.0, 1.0, size=(40, dim))
+    centers = rng.uniform(-1.0, 1.0, size=(33, dim))
+    grid = rng.uniform(-1.0, 1.0, size=(6, 5, dim))
+    zero = (0,) * dim
+    for kernel in _workspace_kernels(dim):
+        assert np.array_equal(kernel.gram(points), _seed_cross(kernel, zero, points, points))
+        assert np.array_equal(kernel.evaluate(points), _seed_at_points(kernel, zero, points))
+        assert np.array_equal(kernel.evaluate(grid), _seed_at_points(kernel, zero, grid))
+        for alpha in [zero] + multi_indices_up_to(dim, 2):
+            assert np.array_equal(
+                kernel.cross(alpha, points, centers), _seed_cross(kernel, alpha, points, centers)
+            )
+            assert np.array_equal(
+                kernel.evaluate_derivative(alpha, points), _seed_at_points(kernel, alpha, points)
+            )
+            assert np.array_equal(
+                kernel.evaluate_derivative(alpha, grid), _seed_at_points(kernel, alpha, grid)
+            )
+
+
+def test_workspace_core_bit_identical_at_higher_orders():
+    # Orders 3 and 4 reach the polynomial roles that orders up to 2 leave
+    # unused: a power of a later factor and a sum of several monomials.
+    rng = np.random.default_rng(35)
+    points = rng.uniform(-1.0, 1.0, size=(25, 2))
+    centers = rng.uniform(-1.0, 1.0, size=(19, 2))
+    for kernel in _workspace_kernels(2):
+        for alpha in [(3, 0), (1, 2), (2, 2), (0, 4), (1, 3)]:
+            assert np.array_equal(
+                kernel.cross(alpha, points, centers), _seed_cross(kernel, alpha, points, centers)
+            )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_workspace_across_full_partial_and_full_blocks(dim):
+    rng = np.random.default_rng(40 + dim)
+    centers = rng.uniform(-1.0, 1.0, size=(17, dim))
+    blocks = [rng.uniform(-1.0, 1.0, size=(rows, dim)) for rows in (11, 4, 11)]
+    for kernel in _workspace_kernels(dim):
+        for alpha in [(0,) * dim] + multi_indices_up_to(dim, 2):
+            work = Workspace(11, (17,))
+            for block in blocks:
+                got = kernel.cross(alpha, block, centers, work)
+                assert got.shape == (len(block), 17)
+                assert np.array_equal(got, _seed_cross(kernel, alpha, block, centers))
+
+
+def test_single_point_has_the_bits_it_has_in_a_batch():
+    rng = np.random.default_rng(45)
+    for kernel in _workspace_kernels(2):
+        points = rng.uniform(-1.0, 1.0, size=(30, 2))
+        for alpha in [(0, 0), (1, 0), (1, 1)]:
+            batch = kernel.evaluate_derivative(alpha, points)
+            single = [kernel.evaluate_derivative(alpha, point) for point in points]
+            assert all(isinstance(value, float) for value in single)
+            assert np.array_equal(np.array(single), batch)
+
+
+def test_workspace_cross_allocates_nothing_of_block_size():
+    kernel = Kernel.multiquadric(1.0, 0.1, 2)
+    rng = np.random.default_rng(46)
+    centers = rng.random((441, 2))
+    rows = EVAL_BLOCK_PAIRS // len(centers)
+    x = rng.random((rows, 2))
+    work = Workspace(rows, (len(centers),))
+    # The first call allocates the workspace's arrays; a later block reuses them.
+    kernel.cross((1, 0), x, centers, work)
+    tracemalloc.start()
+    try:
+        kernel.cross((1, 0), x, centers, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Only arrays of a row or a center count may be allocated: any array of
+    # the block's size would take 20 times this bound.
+    assert peak < 0.05 * rows * len(centers) * 8
+
+
 def test_cross_derivative_matches_difference_tensor():
     rng = np.random.default_rng(12)
     for kernel in sample_kernels():
@@ -259,7 +404,8 @@ def test_mixed_partial_symmetry():
                 total = 0.0
                 for j, poly in terms.items():
                     for expo, coeff in poly.items():
-                        total += coeff * x[0] ** expo[0] * x[1] ** expo[1] * kernel._profile_deriv(j, np.asarray(t))
+                        profile = kernel._profile_deriv(j, np.asarray(t), np.empty(()))
+                        total += coeff * x[0] ** expo[0] * x[1] ** expo[1] * profile
                 return total
 
             a, b = eval_terms(xy_order), eval_terms(yx_order)
