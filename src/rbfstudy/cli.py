@@ -54,6 +54,13 @@ def _cmd_run(args) -> int:
                     f"level {row.level}: d={row.d:.6g} N={row.n_points} "
                     f"sup_error={row.sup_error:.6g} cond={row.cond_estimate:.3e}"
                 )
+                stats = result.mp_stats.get(row.level)
+                if stats:
+                    print(
+                        f"  mp: dps={stats['dps']} assembly={stats['assembly_s']:.3f}s "
+                        f"lu={stats['lu_s']:.3f}s sweep={stats['sweep_s']:.3f}s "
+                        f"kernel memo {stats['distinct']} distinct of {stats['pairs']} pairs"
+                    )
     print(f"wrote {rows_path} and {summary_path}")
 
     if report is not None and not report.passed:

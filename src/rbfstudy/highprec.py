@@ -15,14 +15,29 @@ difference for all orders; ``approximand_on_probes`` evaluates f once per
 study; ``measure_level`` solves with ``lu_solve``, an LU on row lists
 repeating mpmath 1.3's ``lu_solve`` operation for operation, then makes
 one pass over the probes for all orders.
+
+Two further savings keep the bits. ``MpCore`` memoizes its kernel values
+on the exact mp difference (the ``_mpf_`` tuples) and the order count, so
+each distinct difference is evaluated once per core: on grids the probe
+and node differences repeat, and the values are a function of that key
+alone at the core's precision, which is why a core refuses any other.
+``measure_level`` builds one core per level and ``approximand_on_probes``
+one per study, so no memo outlives them. The hot loops (expansion sums,
+LU row updates and substitutions) run on raw ``_mpf_`` tuples through
+``mpmath.libmp``'s ``mpf_add``/``mpf_sub``/``mpf_mul``/``mpf_div`` at the
+context's precision and rounding, which are the very calls the ``mpf``
+operators make, without the wrapper objects.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+                          mpf_rdiv_int, mpf_sub, mpf_sum)
 
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
@@ -32,9 +47,18 @@ from rbfstudy.polybasis import MonomialBasis
 class MpCore:
     """Kernel and monomial derivatives of the orders ``(0,...,0) + alphas``,
     built and used at one working precision; ``count`` asks for the first
-    ``count`` orders (1: the value)."""
+    ``count`` orders (1: the value).
+
+    ``memo`` maps (exact difference as ``_mpf_`` tuples, count) to that
+    difference's raw kernel values; ``lookups`` counts the differences
+    asked for. Both live as long as the core, which is valid only at the
+    precision it was built at: ``kernel`` and ``expansion`` raise
+    ValueError at any other."""
 
     def __init__(self, kernel: Kernel, alphas):
+        self.prec = mp.prec
+        self.memo = {}
+        self.lookups = 0
         self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
         self.gaussian = kernel.family is KernelFamily.GAUSSIAN
         # per order: [(j, poly)], poly a list of (coeff, ((axis, e), ...)), or
@@ -63,8 +87,22 @@ class MpCore:
         self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
                           for alpha in self.orders]
 
+    def _check_prec(self) -> None:
+        if mp.prec != self.prec:
+            raise ValueError(f"MpCore built at {self.prec} bits used at {mp.prec}")
+
     def kernel(self, diff, count: int) -> list:
         """Derivatives of the first ``count`` orders at one difference vector."""
+        self._check_prec()
+        key = (tuple(v._mpf_ for v in diff), count)
+        self.lookups += 1
+        return [mp.make_mpf(v) for v in self.memo.get(key) or self._evaluate(key)]
+
+    def _evaluate(self, key) -> list:
+        """The uncached kernel body: the raw values at ``key`` = (raw
+        difference, count), stored in the memo."""
+        raw_diff, count = key
+        diff = [mp.make_mpf(v) for v in raw_diff]
         t = diff[0] * diff[0]
         for v in diff[1:]:
             t += v * v
@@ -81,16 +119,25 @@ class MpCore:
             for j, poly in terms:
                 value = profile[j] if poly is None else _poly_value(poly, diff) * profile[j]
                 total = value if total is None else total + value
-            out.append(total)
+            out.append(total._mpf_)
+        self.memo[key] = out
         return out
 
     def expansion(self, centers, weights, poly_coeffs, x, count: int) -> list:
         """First ``count`` orders of ``sum_k weights[k] * kernel(x - centers[k])``
         plus ``sum_i poly_coeffs[i] * monomial_i(x)``."""
-        totals = [mpf(0)] * count
+        self._check_prec()
+        prec, rnd = mp._prec_rounding
+        memo, point = self.memo, [v._mpf_ for v in x]
+        totals = [fzero] * count
         for center, weight in zip(centers, weights):
-            values = self.kernel([xv - cv for xv, cv in zip(x, center)], count)
-            totals = [total + weight * v for total, v in zip(totals, values)]
+            key = (tuple([mpf_sub(xv, cv._mpf_, prec, rnd) for xv, cv in zip(point, center)]),
+                   count)
+            w = weight._mpf_
+            totals = [mpf_add(total, mpf_mul(w, v, prec, rnd), prec, rnd)
+                      for total, v in zip(totals, memo.get(key) or self._evaluate(key))]
+        self.lookups += len(centers)
+        totals = [mp.make_mpf(v) for v in totals]
         for k in range(count):
             for coeff, mono in zip(poly_coeffs, self.monomials[k]):
                 if mono is not None:
@@ -142,48 +189,56 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
     as pivot, tolerance ``mnorm(A, 1) * eps``. Returns ``(x, factors, pivots)``:
     the packed L\\U rows and the row swapped in at each step. A row sum or
     pivot at or below the tolerance raises SingularSystemError reporting
-    ``cond_estimate``."""
+    ``cond_estimate``. The work runs on raw ``_mpf_`` tuples with the libmp
+    calls the mpf operators make, in their order."""
     n = len(system)
     with mp.workprec(mp.prec + 10):
-        a = [list(row) for row in system]
-        tol = abs(max(mp.fsum((row[j] for row in a), absolute=1) for j in range(n)) * mp.eps)
+        prec, rnd = mp._prec_rounding
+        tol = abs(max(mp.fsum((row[j] for row in system), absolute=1) for j in range(n))
+                  * mp.eps)._mpf_
+        a = [[v._mpf_ for v in row] for row in system]
         pivots = []
         for j in range(n):
             if j < n - 1:
-                biggest, pivot = 0, j
+                biggest, pivot = fzero, j
                 for k in range(j, n):
-                    s = mp.fsum([abs(v) for v in a[k][j:]])
-                    if abs(s) <= tol:
+                    # the entries carry at most prec bits, so |v| is exact
+                    s = mpf_sum(a[k][j:], prec, rnd, True)
+                    if mpf_le(s, tol):
                         raise SingularSystemError("mp LU row sum below tolerance", cond_estimate)
-                    current = 1 / s * abs(a[k][j])
-                    if current > biggest:
+                    current = mpf_mul(mpf_rdiv_int(1, s, prec, rnd),
+                                      mpf_abs(a[k][j], prec, rnd), prec, rnd)
+                    if mpf_gt(current, biggest):
                         biggest, pivot = current, k
                 a[j], a[pivot] = a[pivot], a[j]
                 pivots.append(pivot)
             top = a[j]
-            if abs(top[j]) <= tol:
+            if mpf_le(mpf_abs(top[j], prec, rnd), tol):
                 raise SingularSystemError(f"mp LU pivot {j} below tolerance", cond_estimate)
+            tail = top[j + 1:]
             for row in a[j + 1:]:
-                row[j] /= top[j]
-                for k in range(j + 1, n):
-                    row[k] -= row[j] * top[k]
-        x = list(rhs)
+                factor = row[j] = mpf_div(row[j], top[j], prec, rnd)
+                row[j + 1:] = [mpf_sub(v, mpf_mul(factor, u, prec, rnd), prec, rnd)
+                               for v, u in zip(row[j + 1:], tail)]
+        x = [v._mpf_ for v in rhs]
         for k, p in enumerate(pivots):
             x[k], x[p] = x[p], x[k]
         for i in range(1, n):
             for j in range(i):
-                x[i] -= a[i][j] * x[j]
+                x[i] = mpf_sub(x[i], mpf_mul(a[i][j], x[j], prec, rnd), prec, rnd)
         for i in range(n - 1, -1, -1):
             for j in range(i + 1, n):
-                x[i] -= a[i][j] * x[j]
-            x[i] /= a[i][i]
-    return x, a, pivots
+                x[i] = mpf_sub(x[i], mpf_mul(a[i][j], x[j], prec, rnd), prec, rnd)
+            x[i] = mpf_div(x[i], a[i][i], prec, rnd)
+    make = mp.make_mpf
+    return [make(v) for v in x], [[make(v) for v in row] for row in a], pivots
 
 
 def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
                   poly_coeffs: np.ndarray, nodes: np.ndarray, probes: np.ndarray,
                   inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...], dps: int,
-                  f_on_probes: list, cond_estimate: float) -> tuple[float, dict]:
+                  f_on_probes: list, cond_estimate: float,
+                  stats: dict | None = None) -> tuple[float, dict]:
     """Solve one refinement level and measure sup errors in mp arithmetic.
 
     The approximand (kernel expansion given by float centers, weights, and
@@ -191,32 +246,54 @@ def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
     of the value error over ``probes`` and of each derivative error over
     ``inner_probes``, both cast back to float. ``f_on_probes`` is
     ``approximand_on_probes`` of the same probes, alphas and dps;
-    ``cond_estimate`` is reported if the solve finds the system singular."""
+    ``cond_estimate`` is reported if the solve finds the system singular.
+    ``stats``, if given, receives what ``sup_errors`` records there."""
     inner_count = sum(len(values) > 1 for _, values in f_on_probes)
     if len(f_on_probes) != len(probes) or (alphas and inner_count != len(inner_probes)):
         raise ValueError("f_on_probes does not match the probes and inner probes")
     with mp.workdps(dps):
-        core = MpCore(kernel, alphas)
-        mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
-        mp_poly = [mpf(v) for v in poly_coeffs]
-        mp_nodes = _mp_rows(nodes)
-        n, q = len(mp_nodes), core.basis.size
-        system = [[mpf(0)] * (n + q) for _ in range(n + q)]
-        for i, xi in enumerate(mp_nodes):
-            for j in range(i, n):
-                diff = [a - b for a, b in zip(xi, mp_nodes[j])]
-                system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
-            for k, mono in enumerate(core.monomials[0]):
-                system[i][n + k] = system[n + k][i] = _poly_value(mono, xi)
-        rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
-        solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
-        coeffs, sol_poly = solution[:n], solution[n:]
-        worst = [mpf(0)] * len(core.orders)
-        for x, f_values in f_on_probes:
-            s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
-            for k, (fv, sv) in enumerate(zip(f_values, s_values)):
-                worst[k] = max(worst[k], abs(fv - sv))
+        worst = sup_errors(kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes,
+                           cond_estimate, stats)
     return float(worst[0]), {alpha: float(w) for alpha, w in zip(alphas, worst[1:])}
+
+
+def sup_errors(kernel: Kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes: list,
+               cond_estimate: float, stats: dict | None = None) -> list:
+    """``measure_level``'s sups as mpf, value first, at the working precision.
+
+    One ``MpCore`` serves the Gram matrix, the right-hand side and the
+    probe sweep, so its memo lives for this level only. ``stats``, if
+    given, receives the working ``dps``, the wall times ``assembly_s``,
+    ``lu_s`` and ``sweep_s``, and the memo's ``distinct`` differences among
+    its ``pairs`` lookups."""
+    clock = time.perf_counter
+    start = clock()
+    core = MpCore(kernel, alphas)
+    mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
+    mp_poly = [mpf(v) for v in poly_coeffs]
+    mp_nodes = _mp_rows(nodes)
+    n, q = len(mp_nodes), core.basis.size
+    system = [[mpf(0)] * (n + q) for _ in range(n + q)]
+    for i, xi in enumerate(mp_nodes):
+        for j in range(i, n):
+            diff = [a - b for a, b in zip(xi, mp_nodes[j])]
+            system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
+        for k, mono in enumerate(core.monomials[0]):
+            system[i][n + k] = system[n + k][i] = _poly_value(mono, xi)
+    rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
+    assembled = clock()
+    solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
+    solved = clock()
+    coeffs, sol_poly = solution[:n], solution[n:]
+    worst = [mpf(0)] * len(core.orders)
+    for x, f_values in f_on_probes:
+        s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
+        for k, (fv, sv) in enumerate(zip(f_values, s_values)):
+            worst[k] = max(worst[k], abs(fv - sv))
+    if stats is not None:
+        stats.update(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
+                     sweep_s=clock() - solved, distinct=len(core.memo), pairs=core.lookups)
+    return worst
 
 
 def estimate_condition(system: np.ndarray) -> float:

@@ -335,6 +335,9 @@ class StudyResult:
     fits: dict[str, MQRateFit | GaussianRateFit | None]
     failed_levels: int
     approximand_norm: float
+    # per measured level of a solver_dps study, highprec.measure_level's
+    # stats (working dps, stage wall times, memo counts); never written out
+    mp_stats: dict[int, dict] = dataclasses.field(default_factory=dict)
 
     def samples(self, tag: str) -> list[tuple[float, float]]:
         """Fit samples for one row tag: solver failures (NaN) and exact
@@ -412,7 +415,7 @@ def _measure_level_double(config, f, nodes, probes, inner, f_probe, f_deriv):
     return value_error, deriv_errors, interp.cond_estimate
 
 
-def _measure_level_mp(config, f, nodes, probes, inner, f_mp):
+def _measure_level_mp(config, f, nodes, probes, inner, f_mp, stats):
     system, _ = assemble_system(config.kernel, nodes)
     cond = highprec.estimate_condition(system)
     if cond > config.cond_limit:
@@ -429,6 +432,7 @@ def _measure_level_mp(config, f, nodes, probes, inner, f_mp):
         config.solver_dps,
         f_mp,
         cond,
+        stats=stats,
     )
     return value_error, deriv_errors, cond
 
@@ -464,6 +468,7 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     rows: list[StudyRow] = []
     failed = 0
+    mp_stats: dict[int, dict] = {}
     fill_res = config.fill_resolution or default_fill_resolution(config.domain.dim)
     for level in range(config.levels):
         nodes = _level_nodes(config, level)
@@ -471,9 +476,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
         try:
             if config.solver_dps is not None:
+                stats = {}
                 value_error, deriv_errors, cond = _measure_level_mp(
-                    config, f, nodes, probes, inner, f_mp
+                    config, f, nodes, probes, inner, f_mp, stats
                 )
+                mp_stats[level] = stats
             else:
                 value_error, deriv_errors, cond = _measure_level_double(
                     config, f, nodes, probes, inner, f_probe, f_deriv
@@ -497,7 +504,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             )
 
     rows.sort(key=lambda r: (-r.d, r.level, r.alpha_tag != VALUE_TAG, r.alpha_tag))
-    result = StudyResult(config, rows, {}, failed, norm_f)
+    result = StudyResult(config, rows, {}, failed, norm_f, mp_stats)
     result.fits[VALUE_TAG] = _fit_samples(config.kernel.family, result.samples(VALUE_TAG))
     for alpha in config.deriv_orders:
         tag = alpha_tag(alpha)

@@ -117,3 +117,30 @@ def test_verbose_prints_levels(tmp_path, capsys):
         assert code == EXIT_OK
         captured = capsys.readouterr().out
         assert "level 0" in captured and "cond=" in captured
+
+
+def test_verbose_prints_mp_diagnostics(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    write_tiny_config(config_path, check_enabled=False, spacings=(0.25, 0.125),
+                      probe_resolution=41, solver_dps=30)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "quiet")]) == EXIT_OK
+    assert "mp:" not in capsys.readouterr().out
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "loud"),
+                 "--verbose"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    mp_lines = [line for line in lines if line.startswith("  mp: dps=30 ")]
+    assert len(mp_lines) == 2
+    assert all("assembly=" in line and "lu=" in line and "sweep=" in line
+               and " distinct of " in line for line in mp_lines)
+    # the diagnostics never reach the written files
+    for name in ("rows.csv", "summary.json"):
+        assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
+
+
+def test_verbose_double_study_prints_no_mp_line(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    write_tiny_config(config_path, check_enabled=False, spacings=(0.25, 0.125))
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path), "--verbose"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr().out
+    assert "level 1:" in captured and "mp:" not in captured

@@ -2,23 +2,26 @@
 
 The reference functions below are the straightforward per-entry mp
 evaluation (one kernel derivative, one monomial, one expansion at a time).
-``MpCore`` must return the very same ``mpf`` values, and ``lu_solve`` the
-very same ``mpf`` values as ``mp.lu_solve``, so rows recorded by a study
-do not depend on how the work is shared.
+``MpCore`` must return the very same ``mpf`` values, memoized or not, and
+``lu_solve`` the very same ``mpf`` values as ``mp.lu_solve``, so rows
+recorded by a study do not depend on how the work is shared.
 """
 
+import gc
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from rbfstudy.geometry import generate_points
-from rbfstudy.highprec import MpCore, lu_solve
+from rbfstudy.geometry import CubeDomain, generate_points, uniform_grid
+from rbfstudy.highprec import MpCore, approximand_on_probes, lu_solve, measure_level, sup_errors
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
 from rbfstudy.polybasis import MonomialBasis
-from rbfstudy.study import StudyConfig, build_approximand
+from rbfstudy.study import StudyConfig, _inner_probe_mask, build_approximand
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DPS = 50
@@ -87,6 +90,10 @@ KERNELS = [
     pytest.param(lambda dim: Kernel.multiquadric(3.0, 0.7, dim), id="mq3"),
 ]
 ALPHAS = {1: ((1,), (2,)), 2: ((1, 0), (0, 1), (1, 1), (2, 0))}
+
+
+def _mp_points_of(points):
+    return [[mpf(v) for v in row] for row in points]
 
 
 def _mp_points(rng, count, dim):
@@ -178,3 +185,202 @@ def test_lu_solve_rejects_singular_matrix(rows):
         with pytest.raises(SingularSystemError) as info:
             lu_solve(system, [mpf(1)] * len(rows), 4.5e40)
     assert info.value.cond_estimate == 4.5e40
+
+
+def test_lu_solve_matches_mpmath_at_depth():
+    """The 81-node Gaussian pilot system (a fifth pilot level) at dps 200.
+
+    ``mp.lu_solve`` is ``LU_decomp``, ``L_solve`` and ``U_solve`` at 10 more
+    bits; they are called directly so that mpmath factors the system once."""
+    config = StudyConfig.load_json(FIXTURES / "pilot_gaussian.json")
+    nodes = generate_points(config.domain, "grid", spacing=0.0125).points
+    assert len(nodes) == 81
+    with mp.workdps(200):
+        system, rhs = _reference_system(config.kernel, nodes, build_approximand(config))
+        x, factors, pivots = lu_solve(system, rhs, 1.0)
+        with mp.workprec(mp.prec + 10):
+            lu, p = mp.LU_decomp(mp.matrix(system))
+            expected = mp.U_solve(lu, mp.L_solve(lu, mp.matrix(rhs), p))
+    assert pivots == p
+    assert all(_same(factors[i][j], lu[i, j]) for i in range(81) for j in range(81))
+    assert all(_same(a, expected[i]) for i, a in enumerate(x))
+
+
+class _Pilot:
+    """One pilot fixture's config, approximand, probes and f in mp."""
+
+    def __init__(self, name):
+        self.config = config = StudyConfig.load_json(FIXTURES / f"{name}.json")
+        self.f = build_approximand(config)
+        self.probes = uniform_grid(config.domain, config.probe_resolution)
+        self.inner_mask = _inner_probe_mask(config.domain, self.probes, config.delta)
+        self.f_mp = approximand_on_probes(
+            config.kernel, self.f.centers.points, self.f.weights, self.f.poly_coeffs,
+            self.probes, self.inner_mask, config.deriv_orders, config.solver_dps)
+        self._f_reference = None
+
+    def f_reference(self):
+        """f at every probe (and each order at inner probes) by the per-entry
+        formulas, at the working precision."""
+        if self._f_reference is None:
+            config, f = self.config, self.f
+            kernel, orders = config.kernel, ((0,) * config.kernel.dim,) + config.deriv_orders
+            basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
+            centers = _mp_points_of(f.centers.points)
+            weights, poly = [mpf(v) for v in f.weights], [mpf(v) for v in f.poly_coeffs]
+            self._f_reference = [
+                [_expansion_deriv_mp(kernel, centers, weights, basis, poly, alpha, x)
+                 for alpha in (orders if inner else orders[:1])]
+                for x, inner in zip(_mp_points_of(self.probes), self.inner_mask)]
+        return self._f_reference
+
+    def nodes(self, level):
+        return generate_points(self.config.domain, "grid",
+                               spacing=self.config.spacings[level]).points
+
+    def measure(self, level, stats=None):
+        config = self.config
+        return measure_level(config.kernel, self.f.centers.points, self.f.weights,
+                             self.f.poly_coeffs, self.nodes(level), self.probes,
+                             self.probes[self.inner_mask], config.deriv_orders,
+                             config.solver_dps, self.f_mp, 1.0, stats=stats)
+
+
+@pytest.fixture(scope="module", params=["pilot_mq", "pilot_gaussian"])
+def pilot(request):
+    return _Pilot(request.param)
+
+
+def _reference_sups(pilot, nodes):
+    """A level's sups by ``_reference_system``, ``mp.lu_solve`` and a sweep
+    of ``_expansion_deriv_mp`` for f and s, at the working precision."""
+    kernel = pilot.config.kernel
+    orders = ((0,) * kernel.dim,) + pilot.config.deriv_orders
+    basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
+    system, rhs = _reference_system(kernel, nodes, pilot.f)
+    solution = mp.lu_solve(mp.matrix(system), mp.matrix(rhs))
+    n = len(nodes)
+    coeffs, sol_poly = solution[:n], solution[n:]
+    mp_nodes = _mp_points_of(nodes)
+    worst = [mpf(0)] * len(orders)
+    for x, f_values in zip(_mp_points_of(pilot.probes), pilot.f_reference()):
+        for k, (alpha, fv) in enumerate(zip(orders, f_values)):
+            sv = _expansion_deriv_mp(kernel, mp_nodes, coeffs, basis, sol_poly, alpha, x)
+            worst[k] = max(worst[k], abs(fv - sv))
+    return worst
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_level_matches_plain_reference(pilot, level):
+    config, f = pilot.config, pilot.f
+    nodes = pilot.nodes(level)
+    with mp.workdps(config.solver_dps):
+        expected = _reference_sups(pilot, nodes)
+        got = sup_errors(config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes,
+                         config.deriv_orders, pilot.f_mp, 1.0)
+    assert len(got) == len(expected)
+    assert all(_same(a, b) for a, b in zip(got, expected))
+    value, derivs = pilot.measure(level)
+    assert value == float(expected[0])
+    assert derivs == {alpha: float(w) for alpha, w in zip(config.deriv_orders, expected[1:])}
+
+
+def _exact_diff(a, b):
+    return tuple(Fraction(u) - Fraction(v) for u, v in zip(a, b))
+
+
+def _fraction(raw):
+    sign, man, exp, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def test_memo_evaluates_each_distinct_difference_once(monkeypatch):
+    pilot = _Pilot("pilot_mq")
+    level = 1
+    nodes = pilot.nodes(level)
+    full = 1 + len(pilot.config.deriv_orders)
+    gram = {(_exact_diff(a, b), 1) for i, a in enumerate(nodes) for b in nodes[i:]}
+    rhs = {(_exact_diff(x, c), 1) for x in nodes for c in pilot.f.centers.points}
+    sweep = {(_exact_diff(x, node), full if inner else 1)
+             for x, inner in zip(pilot.probes, pilot.inner_mask) for node in nodes}
+    expected = gram | rhs | sweep
+    # repeats exist on this grid, so the memo has work to save
+    assert len(expected) < len(gram) + len(rhs) + len(sweep)
+
+    evaluated = []
+    uncached = MpCore._evaluate
+
+    def counted(self, key):
+        evaluated.append((tuple(_fraction(v) for v in key[0]), key[1]))
+        return uncached(self, key)
+
+    monkeypatch.setattr(MpCore, "_evaluate", counted)
+    stats = {}
+    pilot.measure(level, stats)
+    assert len(evaluated) == len(set(evaluated)) == len(expected)
+    assert set(evaluated) == expected
+    n, pairs = len(nodes), len(pilot.probes) * len(nodes)
+    assert stats["distinct"] == len(expected)
+    assert stats["pairs"] == n * (n + 1) // 2 + n * len(pilot.f.centers.points) + pairs
+    assert stats["dps"] == pilot.config.solver_dps
+
+
+@pytest.mark.parametrize("make_kernel", KERNELS)
+def test_memoized_core_matches_reference_on_2d_grid(make_kernel):
+    kernel = make_kernel(2)
+    alphas = ((1, 0), (0, 1), (1, 1))
+    points = generate_points(CubeDomain.unit(2), "grid", spacing=0.5).points
+    rng = np.random.default_rng(5)
+    with mp.workdps(DPS):
+        core = MpCore(kernel, alphas)
+        grid = _mp_points_of(points)
+        # every difference and, later, its negation; many repeat
+        diffs = [[a - b for a, b in zip(x, y)] for x in grid for y in grid]
+        for diff in diffs:
+            for alpha, value in zip(core.orders, core.kernel(diff, len(core.orders))):
+                assert _same(value, _kernel_deriv_mp(kernel, alpha, diff)), (alpha, diff)
+        assert len(core.memo) < core.lookups == len(diffs)
+        basis = MonomialBasis.for_cpd_order(2, kernel.cpd_order)
+        weights = [mpf(v) / 3 for v in rng.normal(size=len(grid))]
+        poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
+        for x in grid:
+            got = core.expansion(grid, weights, poly, x, len(core.orders))
+            for alpha, value in zip(core.orders, got):
+                expected = _expansion_deriv_mp(kernel, grid, weights, basis, poly, alpha, x)
+                assert _same(value, expected), alpha
+
+
+def test_measure_level_leaves_no_shared_state(monkeypatch):
+    pilot = _Pilot("pilot_gaussian")
+    cores = []
+    build = MpCore.__init__
+
+    def tracked(self, *args):
+        build(self, *args)
+        cores.append(weakref.ref(self))
+
+    monkeypatch.setattr(MpCore, "__init__", tracked)
+    first, other, again = {}, {}, {}
+    result = pilot.measure(0, first)
+    pilot.measure(1, other)
+    assert pilot.measure(0, again) == result
+    assert first["distinct"] == again["distinct"] and first["pairs"] == again["pairs"]
+    gc.collect()
+    assert len(cores) == 3 and all(ref() is None for ref in cores)
+
+
+def test_core_is_bound_to_its_precision():
+    kernel = Kernel.multiquadric(1.0, 0.7, 1)
+    with mp.workdps(DPS):
+        core = MpCore(kernel, ((1,),))
+        diff = [mpf(0.25)]
+        core.kernel(diff, 2)
+        with mp.workdps(DPS + 30):
+            with pytest.raises(ValueError, match="bits"):
+                core.kernel(diff, 2)
+            with pytest.raises(ValueError, match="bits"):
+                core.expansion([[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
+            fine = MpCore(kernel, ((1,),))
+            got = fine.kernel(diff, 2)
+            assert all(_same(v, _kernel_deriv_mp(kernel, a, diff))
+                       for a, v in zip(fine.orders, got))
