@@ -72,29 +72,42 @@ class InterpolationProblem:
         return self.kernel.cpd_order
 
 
-def _expansion_derivative(kernel, centers, weights, basis, poly_coeffs, alpha, x):
-    """D^alpha of p + sum_j w_j h(. - z_j) at a point (dim,) or batch (..., dim).
+def _expansion_derivatives(kernel, centers, weights, basis, poly_coeffs, alphas, x) -> list:
+    """D^alpha of p + sum_j w_j h(. - z_j), for each alpha in ``alphas``, at
+    a point (dim,) or batch (..., dim): one result per order.
 
-    The probes are walked in blocks of about EVAL_BLOCK_PAIRS point-center
-    pairs, so memory does not grow with the number of probes. Every block
-    runs the kernel core in one Workspace, allocated once per call: fresh
+    The orders, probes and centers are checked once, here. The probes are
+    then walked in blocks of about EVAL_BLOCK_PAIRS point-center pairs, so
+    memory does not grow with the number of probes. Every block runs the
+    kernel core in one Workspace, allocated once per call: fresh
     block-sized arrays per block would be returned to the kernel and
-    faulted in again, zero-filled, by the next block. With no centers the
-    value is the polynomial part alone.
+    faulted in again, zero-filled, by the next block. One pass over a
+    block serves every order: the kernel core shares the block's
+    difference planes, ``t`` and profile derivatives among the orders and
+    gives each order the bits it has alone. The rounding of ``@ weights``
+    follows the block's rows, so the partition depends on the number of
+    centers only, never on the orders, and each order's block goes through
+    the product as it would alone. With no centers the value is the
+    polynomial part alone.
     """
-    x = kernel._check_points(x)
+    orders = [kernel._check_order(alpha) for alpha in alphas]
+    x, centers = kernel._check_points(x), kernel._check_points(centers)
+    if not orders:
+        return []
     flat = x.reshape(-1, kernel.dim)
-    out = np.empty(len(flat))
+    outs = [np.empty(len(flat)) for _ in orders]
     step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
     work = Workspace(min(step, len(flat)), (len(centers),))
     for start in range(0, len(flat), step):
         block = flat[start:start + step]
-        value = kernel.cross(alpha, block, centers, work) @ weights
-        if basis.size:
-            value += basis.evaluate_derivative(poly_coeffs, alpha, block)
-        out[start:start + step] = value
-    out = out.reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+        crosses = kernel._cross(orders, block, centers, work)
+        for alpha, cross, out in zip(orders, crosses, outs):
+            value = cross @ weights
+            if basis.size:
+                value += basis.evaluate_derivative(poly_coeffs, alpha, block)
+            out[start:start + step] = value
+    outs = [out.reshape(x.shape[:-1]) for out in outs]
+    return [float(out) if out.ndim == 0 else out for out in outs]
 
 
 @dataclass(frozen=True)
@@ -124,15 +137,17 @@ class Interpolant:
 
     def evaluate(self, x) -> float | np.ndarray:
         """Interpolant value at a point (dim,) or batch (..., dim)."""
-        return _expansion_derivative(
-            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs,
-            (0,) * self.kernel.dim, x,
-        )
+        return self.evaluate_derivatives([(0,) * self.kernel.dim], x)[0]
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
         """Analytic partial derivative of the interpolant of order alpha."""
-        return _expansion_derivative(
-            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs, alpha, x
+        return self.evaluate_derivatives([alpha], x)[0]
+
+    def evaluate_derivatives(self, alphas, x) -> list:
+        """``evaluate_derivative`` of each order in ``alphas``, in one pass
+        over the probes, with the same bits as one call per order."""
+        return _expansion_derivatives(
+            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs, alphas, x
         )
 
     def moment_residual(self) -> float:
@@ -340,14 +355,17 @@ class KernelExpansion:
         object.__setattr__(self, "basis", basis)
 
     def evaluate(self, x) -> float | np.ndarray:
-        return _expansion_derivative(
-            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs,
-            (0,) * self.kernel.dim, x,
-        )
+        return self.evaluate_derivatives([(0,) * self.kernel.dim], x)[0]
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
-        return _expansion_derivative(
-            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs, alpha, x
+        return self.evaluate_derivatives([alpha], x)[0]
+
+    def evaluate_derivatives(self, alphas, x) -> list:
+        """``evaluate_derivative`` of each order in ``alphas``, in one pass
+        over the probes, with the same bits as one call per order."""
+        return _expansion_derivatives(
+            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs,
+            alphas, x,
         )
 
     def moment_residual(self) -> float:

@@ -200,6 +200,14 @@ class Kernel:
         x, centers = self._check_points(x), self._check_points(centers)
         if work is None:
             work = Workspace(len(x), (len(centers),))
+        return self._cross([alpha], x, centers, work)[0]
+
+    def _cross(self, orders: list, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
+        """``cross`` of every order in ``orders`` in one pass, one matrix each.
+
+        Nothing is checked here: a caller walking blocks checks its orders,
+        points and centers once and calls this for each block.
+        """
         # Each plane is one subtraction of two contiguous arrays, filled by
         # broadcast copies: a broadcasting subtraction ran slower and made
         # numpy allocate its iteration buffers at every call.
@@ -211,66 +219,84 @@ class Kernel:
             np.copyto(plane, x[:, i, None])
             np.copyto(scratch, columns[i])
             planes.append(np.subtract(plane, scratch, out=plane))
-        return self._derivative_on_planes(alpha, planes, work)
+        return self._derivative_on_planes(orders, planes, work)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
         """Symmetric matrix of kernel values on all pairwise differences.
 
         Filled in row blocks of about EVAL_BLOCK_PAIRS pairs that share one
         Workspace, so the kernel core's arrays do not grow with the matrix
-        and are allocated once.
+        and are allocated once. The points are checked once, not per block.
         """
         points = self._check_points(points)
         n = len(points)
         out = np.empty((n, n))
         step = max(1, EVAL_BLOCK_PAIRS // max(1, n))
         work = Workspace(min(step, n), (n,))
-        zero = (0,) * self.dim
+        orders = [(0,) * self.dim]
         for start in range(0, n, step):
-            out[start:start + step] = self.cross(zero, points[start:start + step], points, work)
+            out[start:start + step] = self._cross(orders, points[start:start + step], points, work)[0]
         return out
 
     def _at_points(self, alpha: tuple[int, ...], x) -> float | np.ndarray:
         x = self._check_points(x)
         flat = x.reshape(-1, self.dim)
         planes = [flat[:, i] for i in range(self.dim)]
-        out = self._derivative_on_planes(alpha, planes, Workspace(len(flat))).reshape(x.shape[:-1])
+        out = self._derivative_on_planes([alpha], planes, Workspace(len(flat)))[0]
+        out = out.reshape(x.shape[:-1])
         return float(out) if out.ndim == 0 else out
 
-    def _derivative_on_planes(
-        self, alpha: tuple[int, ...], planes: list, work: Workspace
-    ) -> np.ndarray:
-        """The kernel core: alpha-derivative at the differences whose axis-i
-        components are ``planes[i]``, each of r rows.
+    def _derivative_on_planes(self, orders: list, planes: list, work: Workspace) -> list:
+        """The kernel core: the derivative of each order in ``orders`` at the
+        differences whose axis-i components are ``planes[i]``, each of r rows.
 
-        Every intermediate is written into the first r rows of ``work``,
-        and the result is a view into it. ``t`` is summed axis by axis in
-        increasing order, which reproduces ``np.sum(x * x, axis=-1)`` bit
-        for bit, and each step repeats the operations, in the same order,
-        of the allocating formula ``sum(profile_j(t) * poly(planes))``.
+        One pass serves every order. ``t`` is built once. Each profile
+        derivative j that any order's terms use is computed once, into an
+        array of its own, and shared by those orders. Each order's result
+        is the sum, in term order, of ``profile_j * poly`` over its terms,
+        written into an array of its own, while the planes, ``t`` and the
+        profiles are only read. So each result repeats the operations, in
+        the same order, of the allocating formula
+        ``sum(profile_j(t) * poly(planes))`` for its order alone, and has
+        the same bits whatever other orders share the pass (``a * b`` and
+        ``b * a`` round alike). ``t`` is summed axis by axis in increasing
+        order, which reproduces ``np.sum(x * x, axis=-1)`` bit for bit.
+
+        Every array is written into the first r rows of ``work``, and each
+        result is a view into it, valid until the workspace's next use.
         """
         r = len(planes[0])
         t = np.multiply(planes[0], planes[0], out=work.get("t", r))
         for plane in planes[1:]:
             t += np.multiply(plane, plane, out=work.get("scratch", r))
         t += self._shift()
-        terms = derivative_terms(self.dim, alpha)
-        out = None
-        for k, term in enumerate(terms):
-            # No later term reads t, so the last profile overwrites it.
-            if k == len(terms) - 1:
-                value = t
-            else:
-                value = work.get("acc" if out is None else "value", r)
-            self._profile_deriv(term.deriv_order, t, value)
-            # The constant polynomial 1 (the value term) would only copy value.
-            if term.poly != {(0,) * self.dim: 1.0}:
-                value *= _eval_poly(term.poly, planes, work)
-            if out is None:
-                out = value
-            else:
-                out += value
-        return out
+        term_lists = [derivative_terms(self.dim, alpha) for alpha in orders]
+        js = sorted({term.deriv_order for terms in term_lists for term in terms})
+        profiles = {}
+        for j in js:
+            # Profiles read only t, and every one is computed before any
+            # result, so the last one may overwrite t.
+            out = t if j == js[-1] else work.get(f"profile{j}", r)
+            profiles[j] = self._profile_deriv(j, t, out)
+        one = {(0,) * self.dim: 1.0}
+        results = []
+        for k, terms in enumerate(term_lists):
+            out = None
+            for term in terms:
+                profile = profiles[term.deriv_order]
+                if term.poly == one:
+                    # The value, alpha = 0, has this one term only: its
+                    # profile is the result, and no later step writes it.
+                    out = profile
+                    continue
+                value = work.get(f"order{k}" if out is None else "value", r)
+                np.multiply(profile, _eval_poly(term.poly, planes, work), out=value)
+                if out is None:
+                    out = value
+                else:
+                    out += value
+            results.append(out)
+        return results
 
     def _check_order(self, alpha) -> tuple[int, ...]:
         alpha = _check_multi_index(alpha, self.dim)

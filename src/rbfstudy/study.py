@@ -409,9 +409,9 @@ def _measure_level_double(config, f, nodes, probes, inner, f_probe, f_deriv):
     s_probe = np.atleast_1d(interp.evaluate(probes))
     value_error = float(np.max(np.abs(f_probe - s_probe)))
     deriv_errors = {}
-    for alpha in config.deriv_orders:
-        s_deriv = np.atleast_1d(interp.evaluate_derivative(alpha, inner))
-        deriv_errors[alpha] = float(np.max(np.abs(f_deriv[alpha] - s_deriv)))
+    s_derivs = interp.evaluate_derivatives(config.deriv_orders, inner)
+    for alpha, s_deriv in zip(config.deriv_orders, s_derivs):
+        deriv_errors[alpha] = float(np.max(np.abs(f_deriv[alpha] - np.atleast_1d(s_deriv))))
     return value_error, deriv_errors, interp.cond_estimate
 
 
@@ -461,10 +461,8 @@ def run_study(config: StudyConfig) -> StudyResult:
         )
     else:
         f_probe = np.atleast_1d(f.evaluate(probes))
-        f_deriv = {
-            alpha: np.atleast_1d(f.evaluate_derivative(alpha, inner))
-            for alpha in config.deriv_orders
-        }
+        f_derivs = f.evaluate_derivatives(config.deriv_orders, inner)
+        f_deriv = {alpha: np.atleast_1d(v) for alpha, v in zip(config.deriv_orders, f_derivs)}
 
     rows: list[StudyRow] = []
     failed = 0

@@ -50,3 +50,20 @@ def multi_indices_up_to(dim, max_total):
     for total in range(1, max_total + 1):
         fill([], total, dim)
     return out
+
+
+def order_lists(dim):
+    """Lists of derivative orders for multi-order evaluation: the value
+    alone, first orders, first and second orders, mixed orders with the
+    value, a repeated order and the empty list."""
+    zero = (0,) * dim
+    first = multi_indices_up_to(dim, 1)
+    second = [a for a in multi_indices_up_to(dim, 2) if sum(a) == 2]
+    return [
+        [zero],
+        first,
+        first + second,
+        [second[-1], zero, first[0], second[0]],
+        [first[0], first[0], zero, zero],
+        [],
+    ]

@@ -20,10 +20,10 @@ from rbfstudy.interpolant import (
     residual_expansion,
     solve,
 )
-from rbfstudy.kernels import Kernel
+from rbfstudy.kernels import MAX_DERIVATIVE_ORDER, Kernel, UnsupportedOrderError
 from rbfstudy.polybasis import MonomialBasis
 
-from conftest import central_difference, multi_indices_up_to
+from conftest import central_difference, multi_indices_up_to, order_lists
 
 
 def _random_expansion(kernel, rng, n_centers=5, domain_side=1.0):
@@ -342,12 +342,69 @@ class TestBlockedEvaluation:
             if dim == 1:
                 assert f.evaluate(0.3) == pytest.approx(f.evaluate([0.3]), rel=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_all_orders_in_one_pass_have_the_bits_of_one_order(self, dim, monkeypatch):
+        rng = np.random.default_rng(100 + dim)
+        # 4 probes of the 9 centers per block, so 23 probes end in a partial block.
+        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        kernels = [
+            Kernel.multiquadric(1.0, 0.4, dim),
+            Kernel.multiquadric(-1.0, 0.4, dim),
+            Kernel.multiquadric(3.0, 0.4, dim),
+            Kernel.gaussian(3.0, dim),
+        ]
+        for kernel in kernels:
+            f = _random_expansion(kernel, rng, n_centers=9)
+            f = KernelExpansion(kernel, f.centers, f.weights, rng.standard_normal(f.basis.size))
+            batch = rng.uniform(-0.2, 1.2, size=(23, dim))
+            grid = rng.uniform(-0.2, 1.2, size=(5, 3, dim))
+            for alphas in order_lists(dim):
+                for x in (batch, grid, batch[0]):
+                    got = f.evaluate_derivatives(alphas, x)
+                    expected = [f.evaluate_derivative(alpha, x) for alpha in alphas]
+                    assert len(got) == len(expected)
+                    for a, b in zip(got, expected):
+                        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+                        assert np.array_equal(a, b)
+
+    def test_block_partition_does_not_depend_on_the_orders(self, monkeypatch):
+        kernel = Kernel.multiquadric(1.0, 0.4, 2)
+        f = _random_expansion(kernel, np.random.default_rng(105), n_centers=9)
+        probes = np.random.default_rng(106).random((23, 2))
+        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        blocks = []
+        cross = Kernel._cross
+
+        def recording(self, orders, x, centers, work):
+            blocks.append(len(x))
+            return cross(self, orders, x, centers, work)
+
+        monkeypatch.setattr(Kernel, "_cross", recording)
+        f.evaluate_derivative((1, 0), probes)
+        one = list(blocks)
+        blocks.clear()
+        f.evaluate_derivatives(multi_indices_up_to(2, 2), probes)
+        assert one == [4] * 5 + [3] and blocks == one
+
+    @pytest.mark.parametrize("bad", [(7, 0), (-1, 0), (1,)])
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_rejects_bad_orders_whatever_the_probe_count(self, bad, count):
+        f = KernelExpansion(Kernel.gaussian(1.0, 2), PointSet.from_array([[0.0, 0.0]]), [1.0])
+        probes = np.zeros((count, 2))
+        error = UnsupportedOrderError if sum(bad) > MAX_DERIVATIVE_ORDER else ValueError
+        with pytest.raises(error):
+            f.evaluate_derivative(bad, probes)
+        with pytest.raises(error):
+            f.evaluate_derivatives([(1, 0), bad], probes)
+
     def test_rejects_bad_points(self):
         f = KernelExpansion(Kernel.gaussian(1.0, 2), PointSet.from_array([[0.0, 0.0]]), [1.0])
         with pytest.raises(ValueError, match="finite"):
             f.evaluate([[0.0, math.inf]])
         with pytest.raises(ValueError, match="dimension"):
             f.evaluate(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            f.evaluate_derivatives([], [[0.0, math.nan]])
 
     def test_memory_bounded_independently_of_probe_count(self):
         kernel = Kernel.multiquadric(1.0, 0.1, 2)

@@ -17,7 +17,7 @@ from rbfstudy.kernels import (
     derivative_terms,
 )
 
-from conftest import central_difference, multi_indices_up_to
+from conftest import central_difference, multi_indices_up_to, order_lists
 
 
 def sample_kernels():
@@ -332,6 +332,52 @@ def test_workspace_cross_allocates_nothing_of_block_size():
         tracemalloc.stop()
     # Only arrays of a row or a center count may be allocated: any array of
     # the block's size would take 20 times this bound.
+    assert peak < 0.05 * rows * len(centers) * 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multi_order_core_bit_identical_to_allocating_core(dim):
+    rng = np.random.default_rng(50 + dim)
+    centers = rng.uniform(-1.0, 1.0, size=(13, dim))
+    # Blocks of 9 rows share one workspace: full, partial, a single row, full.
+    blocks = [rng.uniform(-1.0, 1.0, size=(rows, dim)) for rows in (9, 4, 1, 9)]
+    for kernel in _workspace_kernels(dim):
+        for orders in order_lists(dim):
+            work = Workspace(9, (13,))
+            for block in blocks:
+                got = kernel._cross(orders, block, centers, work)
+                assert len(got) == len(orders)
+                for alpha, matrix in zip(orders, got):
+                    assert np.array_equal(matrix, _seed_cross(kernel, alpha, block, centers))
+
+
+def test_multi_order_core_bit_identical_at_higher_orders():
+    # Orders of total order 4 have three terms, so their sum shows the term order.
+    rng = np.random.default_rng(55)
+    points = rng.uniform(-1.0, 1.0, size=(25, 2))
+    centers = rng.uniform(-1.0, 1.0, size=(19, 2))
+    orders = [(2, 2), (4, 0), (1, 0), (1, 3), (3, 0), (0, 0), (0, 4)]
+    for kernel in _workspace_kernels(2):
+        got = kernel._cross(orders, points, centers, Workspace(25, (19,)))
+        for alpha, matrix in zip(orders, got):
+            assert np.array_equal(matrix, _seed_cross(kernel, alpha, points, centers))
+
+
+def test_workspace_multi_order_cross_allocates_nothing_of_block_size():
+    kernel = Kernel.multiquadric(1.0, 0.1, 2)
+    rng = np.random.default_rng(47)
+    centers = rng.random((441, 2))
+    rows = EVAL_BLOCK_PAIRS // len(centers)
+    x = rng.random((rows, 2))
+    work = Workspace(rows, (len(centers),))
+    orders = [(0, 0)] + multi_indices_up_to(2, 2)
+    kernel._cross(orders, x, centers, work)
+    tracemalloc.start()
+    try:
+        kernel._cross(orders, x, centers, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 0.05 * rows * len(centers) * 8
 
 

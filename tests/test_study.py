@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rbfstudy import highprec
+from rbfstudy import interpolant as interpolant_module
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
 from rbfstudy.geometry import CubeDomain
 from rbfstudy.kernels import Kernel
@@ -346,6 +347,40 @@ def test_approximand_evaluated_in_mp_once_per_study(monkeypatch):
     assert sizes.count(n_f) == config.probe_resolution + sum(node_counts)
     # the interpolant at every probe, once per level
     assert len(sizes) - sizes.count(n_f) == 3 * config.probe_resolution
+
+
+def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
+    orders = ((1, 0), (0, 1), (2, 0), (1, 1))
+    config = tiny_config(
+        kernel=Kernel.multiquadric(1.0, 0.5, 2),
+        domain=CubeDomain.unit(2),
+        spacings=(0.5, 0.25),
+        deriv_orders=orders,
+        smoothness_order=3,
+        probe_resolution=21,
+        fill_resolution=16,
+    )
+    original = interpolant_module._expansion_derivatives
+    calls = []
+
+    def counting(kernel, centers, weights, basis, poly_coeffs, alphas, x):
+        calls.append((len(centers), tuple(alphas)))
+        return original(kernel, centers, weights, basis, poly_coeffs, alphas, x)
+
+    monkeypatch.setattr(interpolant_module, "_expansion_derivatives", counting)
+    result = run_study(config)
+    node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
+    assert result.failed_levels == 0 and node_counts == [9, 25]
+    # f once per study, then the interpolant once per level, for every order together
+    derivative_calls = [call for call in calls if call[1] != ((0, 0),)]
+    n_f = config.approximand.centers_count
+    assert derivative_calls == [(n_f, orders), (9, orders), (25, orders)]
+
+    def per_order(kernel, centers, weights, basis, poly_coeffs, alphas, x):
+        return [original(kernel, centers, weights, basis, poly_coeffs, [a], x)[0] for a in alphas]
+
+    monkeypatch.setattr(interpolant_module, "_expansion_derivatives", per_order)
+    assert run_study(config).rows == result.rows
 
 
 def test_gorny_campaign_deterministic():
