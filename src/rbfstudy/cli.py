@@ -59,7 +59,8 @@ def _cmd_run(args) -> int:
                     print(
                         f"  mp: dps={stats['dps']} assembly={stats['assembly_s']:.3f}s "
                         f"lu={stats['lu_s']:.3f}s sweep={stats['sweep_s']:.3f}s "
-                        f"kernel memo {stats['distinct']} distinct of {stats['pairs']} pairs"
+                        f"kernel memo {stats['distinct']} distinct of {stats['pairs']} pairs, "
+                        f"study memo {stats['memo_size']}"
                     )
     print(f"wrote {rows_path} and {summary_path}")
 

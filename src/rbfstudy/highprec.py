@@ -9,35 +9,46 @@ Only the study harness uses it; the library's solver stays double.
 
 Each recorded number comes from the rounded mp operations of the plain
 per-entry formulas, in their order, less exact no-ops (``0 + x``, ``1 * x``,
-``x ** 1``); only repeated work is shared. ``MpCore`` builds the profile
-constants once and forms ``t`` and each profile derivative once per
-difference for all orders; ``approximand_on_probes`` evaluates f once per
-study; ``measure_level`` solves with ``lu_solve``, an LU on row lists
-repeating mpmath 1.3's ``lu_solve`` operation for operation, then makes
-one pass over the probes for all orders.
+``x ** 1``) and exact negations; only repeated work is shared. ``MpCore``
+builds the profile constants once and forms ``t`` and each profile
+derivative once per difference for all orders; ``approximand_on_probes``
+evaluates f once per study; ``measure_level`` solves with ``lu_solve``, an
+LU on row lists repeating mpmath 1.3's ``lu_solve`` operation for
+operation, then makes one pass over the probes for all orders.
 
-Two further savings keep the bits. ``MpCore`` memoizes its kernel values
-on the exact mp difference (the ``_mpf_`` tuples) and the order count, so
-each distinct difference is evaluated once per core: on grids the probe
-and node differences repeat, and the values are a function of that key
-alone at the core's precision, which is why a core refuses any other.
-``measure_level`` builds one core per level and ``approximand_on_probes``
-one per study, so no memo outlives them. The hot loops (expansion sums,
-LU row updates and substitutions) run on raw ``_mpf_`` tuples through
-``mpmath.libmp``'s ``mpf_add``/``mpf_sub``/``mpf_mul``/``mpf_div`` at the
-context's precision and rounding, which are the very calls the ``mpf``
-operators make, without the wrapper objects.
+Two further savings keep the bits. One ``MpCore`` serves a whole study:
+``run_study`` builds it and passes it to ``approximand_on_probes`` and to
+every level's ``measure_level``, and a standalone call builds its own.
+Its memo is keyed on a difference's per-axis absolute values (the
+``_mpf_`` tuples less their sign bits) and holds every order, so each
+distinct absolute difference is evaluated once per study, across f and
+all levels. A difference of two double coordinates is exact in mp, so a
+repeat returns the bits a fresh evaluation gives. The sign is applied at
+lookup: every monomial of ``D^alpha phi(|x|^2)`` has alpha's parity on
+each axis and ``t`` is even, so under round-to-nearest, which rounds
+``-y`` to minus the rounding of ``y`` and has no ``-0``, reflecting an
+axis negates exactly the orders whose alpha entries on the reflected
+axes sum to an odd number. A core therefore refuses any precision or
+rounding but the ones it was built at, and any kernel or orders but its
+own. The kernel body and the hot loops (expansion sums, LU row updates
+and substitutions) run on raw ``_mpf_`` tuples through ``mpmath.libmp``'s
+``mpf_add``/``mpf_sub``/``mpf_mul``/``mpf_div``/``mpf_exp``/``mpf_pow``/
+``mpf_pow_int`` at the context's precision and rounding, which are the
+very calls the ``mpf`` operators and ``mp.exp`` make, without the
+wrapper objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_rdiv_int, mpf_sub, mpf_sum)
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_mul,
+                          mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
+                          round_nearest)
 
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
@@ -46,80 +57,105 @@ from rbfstudy.polybasis import MonomialBasis
 
 class MpCore:
     """Kernel and monomial derivatives of the orders ``(0,...,0) + alphas``,
-    built and used at one working precision; ``count`` asks for the first
-    ``count`` orders (1: the value).
+    built and used at one working precision and round-to-nearest;
+    ``count`` asks for the first ``count`` orders (1: the value).
 
-    ``memo`` maps (exact difference as ``_mpf_`` tuples, count) to that
-    difference's raw kernel values; ``lookups`` counts the differences
-    asked for. Both live as long as the core, which is valid only at the
-    precision it was built at: ``kernel`` and ``expansion`` raise
-    ValueError at any other."""
+    ``memo`` maps a difference's per-axis absolute values (each ``_mpf_``
+    tuple less its sign bit) to the raw kernel values of every order
+    there; a lookup flips order alpha exactly when the alpha entries of
+    the negative axes sum to an odd number. ``lookups`` counts the
+    differences asked for. Both live as long as the core, which ``kernel``
+    and ``expansion`` refuse at any precision or rounding but its own, and
+    ``source`` and ``orders`` name the kernel and orders it serves."""
 
     def __init__(self, kernel: Kernel, alphas):
-        self.prec = mp.prec
+        self.prec, self.rounding = mp._prec_rounding
+        if self.rounding != round_nearest:
+            raise ValueError(f"MpCore needs round-to-nearest, not rounding {self.rounding!r}")
         self.memo = {}
         self.lookups = 0
+        self.source = kernel
         self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
         self.gaussian = kernel.family is KernelFamily.GAUSSIAN
-        # per order: [(j, poly)], poly a list of (coeff, ((axis, e), ...)), or
-        # None for the constant polynomial 1, which leaves profile_j as it is
+        # per order: [(j, poly)], poly a list of (raw coeff, ((axis, e), ...)),
+        # or None for the constant polynomial 1, which leaves profile_j as it is
         self.terms = [[(term.deriv_order, None if term.poly == {self.orders[0]: 1.0} else [
-            (mpf(coeff), tuple((axis, e) for axis, e in enumerate(expo) if e))
+            (mpf(coeff)._mpf_, tuple((axis, e) for axis, e in enumerate(expo) if e))
             for expo, coeff in term.poly.items()
         ]) for term in derivative_terms(kernel.dim, alpha)] for alpha in self.orders]
-        # profile orders the first ``count`` orders need, indexed by count
-        self.profile_orders = [sorted({j for terms in self.terms[:k] for j, _ in terms})
-                               for k in range(len(self.orders) + 1)]
-        top = self.profile_orders[-1][-1]
+        self.profile_orders = sorted({j for terms in self.terms for j, _ in terms})
+        # per pattern of sign bits over the axes: per order, whether it flips
+        self.flips = {signs: [sum(a for a, s in zip(alpha, signs) if s) % 2
+                              for alpha in self.orders]
+                      for signs in itertools.product((0, 1), repeat=kernel.dim)}
+        top = self.profile_orders[-1]
         if self.gaussian:
-            self.neg_beta = -mpf(kernel.beta)
-            self.scale = [self.neg_beta ** j for j in range(top + 1)]
+            neg_beta = -mpf(kernel.beta)
+            self.neg_beta = neg_beta._mpf_
+            scale = [neg_beta ** j for j in range(top + 1)]
         else:
-            self.shift = mpf(kernel.c) ** 2
+            self.shift = (mpf(kernel.c) ** 2)._mpf_
             half = mpf(kernel.beta) / 2
-            self.power = [half - j for j in range(top + 1)]
-            self.scale = [mp.gamma(-half)]
-            for p in self.power[:-1]:
-                self.scale.append(self.scale[-1] * p)
+            power = [half - j for j in range(top + 1)]
+            scale = [mp.gamma(-half)]
+            for p in power[:-1]:
+                scale.append(scale[-1] * p)
+            self.power = [p._mpf_ for p in power]
+        self.scale = [v._mpf_ for v in scale]
         self.basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
         # per order, per basis monomial: its derivative as a one-term poly,
         # or None where it vanishes
         self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
                           for alpha in self.orders]
 
+    @classmethod
+    def at_dps(cls, kernel: Kernel, alphas, dps: int) -> "MpCore":
+        """A core built at ``dps`` digits, whatever the working precision."""
+        with mp.workdps(dps):
+            return cls(kernel, alphas)
+
     def _check_prec(self) -> None:
-        if mp.prec != self.prec:
-            raise ValueError(f"MpCore built at {self.prec} bits used at {mp.prec}")
+        if mp._prec_rounding != [self.prec, self.rounding]:
+            prec, rounding = mp._prec_rounding
+            raise ValueError(f"MpCore built at {self.prec} bits, rounding {self.rounding!r}, "
+                             f"used at {prec} bits, rounding {rounding!r}")
 
     def kernel(self, diff, count: int) -> list:
         """Derivatives of the first ``count`` orders at one difference vector."""
         self._check_prec()
-        key = (tuple(v._mpf_ for v in diff), count)
+        raw = [v._mpf_ for v in diff]
+        key = tuple([v[1:] for v in raw])
         self.lookups += 1
-        return [mp.make_mpf(v) for v in self.memo.get(key) or self._evaluate(key)]
+        values = self.memo.get(key) or self._evaluate(key)
+        flips = self.flips[tuple([v[0] for v in raw])]
+        return [mp.make_mpf(mpf_neg(v) if flip else v)
+                for v, flip in zip(values[:count], flips)]
 
     def _evaluate(self, key) -> list:
-        """The uncached kernel body: the raw values at ``key`` = (raw
-        difference, count), stored in the memo."""
-        raw_diff, count = key
-        diff = [mp.make_mpf(v) for v in raw_diff]
-        t = diff[0] * diff[0]
+        """The uncached kernel body: the raw values of every order at the
+        absolute difference ``key``, stored in the memo."""
+        prec, rnd = self.prec, self.rounding
+        diff = [(0,) + v for v in key]
+        t = mpf_mul(diff[0], diff[0], prec, rnd)
         for v in diff[1:]:
-            t += v * v
+            t = mpf_add(t, mpf_mul(v, v, prec, rnd), prec, rnd)
+        scale = self.scale
         if self.gaussian:
-            e = mp.exp(self.neg_beta * t)
-            profile = {j: self.scale[j] * e if j else e for j in self.profile_orders[count]}
+            e = mpf_exp(mpf_mul(self.neg_beta, t, prec, rnd), prec, rnd)
+            profile = {j: mpf_mul(scale[j], e, prec, rnd) if j else e
+                       for j in self.profile_orders}
         else:
-            t = self.shift + t
-            profile = {j: self.scale[j] * t ** self.power[j]
-                       for j in self.profile_orders[count]}
+            t = mpf_add(self.shift, t, prec, rnd)
+            profile = {j: mpf_mul(scale[j], mpf_pow(t, self.power[j], prec, rnd), prec, rnd)
+                       for j in self.profile_orders}
         out = []
-        for terms in self.terms[:count]:
+        for terms in self.terms:
             total = None
             for j, poly in terms:
-                value = profile[j] if poly is None else _poly_value(poly, diff) * profile[j]
-                total = value if total is None else total + value
-            out.append(total._mpf_)
+                value = profile[j] if poly is None else mpf_mul(
+                    _poly_value(poly, diff, prec, rnd), profile[j], prec, rnd)
+                total = value if total is None else mpf_add(total, value, prec, rnd)
+            out.append(total)
         self.memo[key] = out
         return out
 
@@ -127,22 +163,24 @@ class MpCore:
         """First ``count`` orders of ``sum_k weights[k] * kernel(x - centers[k])``
         plus ``sum_i poly_coeffs[i] * monomial_i(x)``."""
         self._check_prec()
-        prec, rnd = mp._prec_rounding
-        memo, point = self.memo, [v._mpf_ for v in x]
+        prec, rnd = self.prec, self.rounding
+        memo, flips, point = self.memo, self.flips, [v._mpf_ for v in x]
         totals = [fzero] * count
         for center, weight in zip(centers, weights):
-            key = (tuple([mpf_sub(xv, cv._mpf_, prec, rnd) for xv, cv in zip(point, center)]),
-                   count)
+            diff = [mpf_sub(xv, cv._mpf_, prec, rnd) for xv, cv in zip(point, center)]
+            key = tuple([v[1:] for v in diff])
             w = weight._mpf_
-            totals = [mpf_add(total, mpf_mul(w, v, prec, rnd), prec, rnd)
-                      for total, v in zip(totals, memo.get(key) or self._evaluate(key))]
+            # w * -v and -w * v round alike under round-to-nearest
+            totals = [mpf_add(total, mpf_mul(mpf_neg(w) if flip else w, v, prec, rnd), prec, rnd)
+                      for total, v, flip in zip(totals, memo.get(key) or self._evaluate(key),
+                                                flips[tuple([v[0] for v in diff])])]
         self.lookups += len(centers)
-        totals = [mp.make_mpf(v) for v in totals]
         for k in range(count):
             for coeff, mono in zip(poly_coeffs, self.monomials[k]):
                 if mono is not None:
-                    totals[k] += coeff * _poly_value(mono, x)
-        return totals
+                    totals[k] = mpf_add(totals[k], mpf_mul(
+                        coeff._mpf_, _poly_value(mono, point, prec, rnd), prec, rnd), prec, rnd)
+        return [mp.make_mpf(v) for v in totals]
 
 
 def _monomial(expo, alpha):
@@ -152,17 +190,19 @@ def _monomial(expo, alpha):
             return None
         for i in range(a):
             factor *= e - i
-    return [(factor, tuple((axis, e - a) for axis, (e, a) in enumerate(zip(expo, alpha))
-                           if e - a))]
+    return [(factor._mpf_, tuple((axis, e - a) for axis, (e, a) in enumerate(zip(expo, alpha))
+                                 if e - a))]
 
 
-def _poly_value(poly, x):
+def _poly_value(poly, x, prec, rnd):
+    """``poly`` at the raw point ``x``, by the calls the mpf operators make."""
     total = None
     for coeff, powers in poly:
         term = coeff
         for axis, e in powers:
-            term *= x[axis] if e == 1 else x[axis] ** e
-        total = term if total is None else total + term
+            term = mpf_mul(term, x[axis] if e == 1 else mpf_pow_int(x[axis], e, prec, rnd),
+                           prec, rnd)
+        total = term if total is None else mpf_add(total, term, prec, rnd)
     return total
 
 
@@ -170,12 +210,25 @@ def _mp_rows(points) -> list:
     return [[mpf(v) for v in row] for row in np.atleast_2d(points)]
 
 
+def _core_for(core: MpCore | None, kernel: Kernel, alphas) -> MpCore:
+    """``core``, checked to serve ``kernel`` and ``alphas`` at the working
+    precision, or a new core if it is None."""
+    if core is None:
+        return MpCore(kernel, alphas)
+    if core.source != kernel or core.orders[1:] != tuple(tuple(a) for a in alphas):
+        raise ValueError(f"MpCore of {core.source} and orders {core.orders[1:]} passed for "
+                         f"{kernel} and orders {tuple(alphas)}")
+    core._check_prec()
+    return core
+
+
 def approximand_on_probes(kernel, centers, weights, poly_coeffs, probes, inner_mask,
-                          alphas, dps) -> list:
+                          alphas, dps, core: MpCore | None = None) -> list:
     """The approximand in mp, once per study, for ``measure_level``: per probe,
-    its mp coordinates and f's value, then at inner probes each derivative."""
+    its mp coordinates and f's value, then at inner probes each derivative.
+    ``core``, if given, is the study's, built at ``dps``; else one is built."""
     with mp.workdps(dps):
-        core = MpCore(kernel, alphas)
+        core = _core_for(core, kernel, alphas)
         mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
         mp_poly = [mpf(v) for v in poly_coeffs]
         return [(x, core.expansion(mp_centers, mp_weights, mp_poly, x,
@@ -237,8 +290,8 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
 def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
                   poly_coeffs: np.ndarray, nodes: np.ndarray, probes: np.ndarray,
                   inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...], dps: int,
-                  f_on_probes: list, cond_estimate: float,
-                  stats: dict | None = None) -> tuple[float, dict]:
+                  f_on_probes: list, cond_estimate: float, stats: dict | None = None,
+                  core: MpCore | None = None) -> tuple[float, dict]:
     """Solve one refinement level and measure sup errors in mp arithmetic.
 
     The approximand (kernel expansion given by float centers, weights, and
@@ -247,28 +300,32 @@ def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
     ``inner_probes``, both cast back to float. ``f_on_probes`` is
     ``approximand_on_probes`` of the same probes, alphas and dps;
     ``cond_estimate`` is reported if the solve finds the system singular.
-    ``stats``, if given, receives what ``sup_errors`` records there."""
+    ``stats`` and ``core``, if given, go to ``sup_errors``."""
     inner_count = sum(len(values) > 1 for _, values in f_on_probes)
     if len(f_on_probes) != len(probes) or (alphas and inner_count != len(inner_probes)):
         raise ValueError("f_on_probes does not match the probes and inner probes")
     with mp.workdps(dps):
         worst = sup_errors(kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes,
-                           cond_estimate, stats)
+                           cond_estimate, stats, core)
     return float(worst[0]), {alpha: float(w) for alpha, w in zip(alphas, worst[1:])}
 
 
 def sup_errors(kernel: Kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes: list,
-               cond_estimate: float, stats: dict | None = None) -> list:
+               cond_estimate: float, stats: dict | None = None,
+               core: MpCore | None = None) -> list:
     """``measure_level``'s sups as mpf, value first, at the working precision.
 
     One ``MpCore`` serves the Gram matrix, the right-hand side and the
-    probe sweep, so its memo lives for this level only. ``stats``, if
-    given, receives the working ``dps``, the wall times ``assembly_s``,
-    ``lu_s`` and ``sweep_s``, and the memo's ``distinct`` differences among
-    its ``pairs`` lookups."""
+    probe sweep: ``core``, shared with the rest of a study, or else a new
+    one for this level alone. ``stats``, if given, receives the working
+    ``dps``, the wall times ``assembly_s``, ``lu_s`` and ``sweep_s``, this
+    level's ``pairs`` lookups, the ``distinct`` memo entries they added and
+    the memo's ``memo_size`` after them."""
     clock = time.perf_counter
     start = clock()
-    core = MpCore(kernel, alphas)
+    core = _core_for(core, kernel, alphas)
+    size, lookups = len(core.memo), core.lookups
+    prec, rnd = mp._prec_rounding
     mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
     mp_poly = [mpf(v) for v in poly_coeffs]
     mp_nodes = _mp_rows(nodes)
@@ -278,8 +335,9 @@ def sup_errors(kernel: Kernel, centers, weights, poly_coeffs, nodes, alphas, f_o
         for j in range(i, n):
             diff = [a - b for a, b in zip(xi, mp_nodes[j])]
             system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
+        point = [v._mpf_ for v in xi]
         for k, mono in enumerate(core.monomials[0]):
-            system[i][n + k] = system[n + k][i] = _poly_value(mono, xi)
+            system[i][n + k] = system[n + k][i] = mp.make_mpf(_poly_value(mono, point, prec, rnd))
     rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
     assembled = clock()
     solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
@@ -292,7 +350,8 @@ def sup_errors(kernel: Kernel, centers, weights, poly_coeffs, nodes, alphas, f_o
             worst[k] = max(worst[k], abs(fv - sv))
     if stats is not None:
         stats.update(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
-                     sweep_s=clock() - solved, distinct=len(core.memo), pairs=core.lookups)
+                     sweep_s=clock() - solved, distinct=len(core.memo) - size,
+                     pairs=core.lookups - lookups, memo_size=len(core.memo))
     return worst
 
 

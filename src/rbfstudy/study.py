@@ -415,7 +415,7 @@ def _measure_level_double(config, f, nodes, probes, inner, f_probe, f_deriv):
     return value_error, deriv_errors, interp.cond_estimate
 
 
-def _measure_level_mp(config, f, nodes, probes, inner, f_mp, stats):
+def _measure_level_mp(config, f, nodes, probes, inner, f_mp, core, stats):
     system, _ = assemble_system(config.kernel, nodes)
     cond = highprec.estimate_condition(system)
     if cond > config.cond_limit:
@@ -433,6 +433,7 @@ def _measure_level_mp(config, f, nodes, probes, inner, f_mp, stats):
         f_mp,
         cond,
         stats=stats,
+        core=core,
     )
     return value_error, deriv_errors, cond
 
@@ -455,9 +456,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     if len(inner) == 0:
         raise ValueError("no probe points keep a delta-ball inside the domain")
     if config.solver_dps is not None:
+        # one kernel memo for f and every level; it dies with this call
+        core = highprec.MpCore.at_dps(config.kernel, config.deriv_orders, config.solver_dps)
         f_mp = highprec.approximand_on_probes(
             config.kernel, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask,
-            config.deriv_orders, config.solver_dps,
+            config.deriv_orders, config.solver_dps, core=core,
         )
     else:
         f_probe = np.atleast_1d(f.evaluate(probes))
@@ -476,7 +479,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             if config.solver_dps is not None:
                 stats = {}
                 value_error, deriv_errors, cond = _measure_level_mp(
-                    config, f, nodes, probes, inner, f_mp, stats
+                    config, f, nodes, probes, inner, f_mp, core, stats
                 )
                 mp_stats[level] = stats
             else:

@@ -1,5 +1,8 @@
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from rbfstudy.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARTIAL, main
 from rbfstudy.geometry import CubeDomain
@@ -7,6 +10,7 @@ from rbfstudy.kernels import Kernel
 from rbfstudy.study import ApproximandSpec, StudyConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
 
 
 def write_tiny_config(path, **overrides):
@@ -80,6 +84,14 @@ def test_run_pilot_config(tmp_path):
     assert 0.0 < fit["params"]["base"] < 1.0
 
 
+@pytest.mark.parametrize("pilot", ["pilot_mq", "pilot_gaussian"])
+def test_pilot_outputs_match_golden_files(tmp_path, pilot):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(FIXTURES / f"{pilot}.json"), "--out", str(out)]) == EXIT_OK
+    for name in ("rows.csv", "summary.json"):
+        assert (out / name).read_bytes() == (GOLDEN / pilot / name).read_bytes(), name
+
+
 def test_fit_subcommand(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     write_tiny_config(config_path, check_enabled=False)
@@ -131,7 +143,7 @@ def test_verbose_prints_mp_diagnostics(tmp_path, capsys):
     mp_lines = [line for line in lines if line.startswith("  mp: dps=30 ")]
     assert len(mp_lines) == 2
     assert all("assembly=" in line and "lu=" in line and "sweep=" in line
-               and " distinct of " in line for line in mp_lines)
+               and " distinct of " in line and ", study memo " in line for line in mp_lines)
     # the diagnostics never reach the written files
     for name in ("rows.csv", "summary.json"):
         assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
@@ -144,3 +156,27 @@ def test_verbose_double_study_prints_no_mp_line(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr().out
     assert "level 1:" in captured and "mp:" not in captured
+
+
+def test_verbose_pilot_prints_per_level_memo_counts(tmp_path, capsys):
+    config = StudyConfig.load_json(FIXTURES / "pilot_mq.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(FIXTURES / "pilot_mq.json"), "--out", str(out),
+                 "--verbose"]) == EXIT_OK
+    pattern = re.compile(r"  mp: dps=50 .* kernel memo (\d+) distinct of (\d+) pairs, "
+                         r"study memo (\d+)$")
+    counts = [tuple(map(int, m.groups())) for m in map(pattern.match,
+                                                        capsys.readouterr().out.splitlines()) if m]
+    assert len(counts) == config.levels
+    probes, centers = config.probe_resolution, len(config.approximand.centers_points)
+    memo = counts[0][2] - counts[0][0]
+    # f's lookups of every probe-center difference filled the memo first
+    assert 0 < memo <= probes * centers
+    for (distinct, pairs, size), spacing in zip(counts, config.spacings):
+        n = round(1 / spacing) + 1
+        # this level's lookups, and the entries they added to the study memo
+        assert pairs == n * (n + 1) // 2 + n * centers + probes * n
+        assert 0 < distinct < pairs and size == memo + distinct
+        memo = size
+    for name in ("rows.csv", "summary.json"):
+        assert (out / name).read_bytes() == (GOLDEN / "pilot_mq" / name).read_bytes(), name

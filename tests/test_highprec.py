@@ -8,6 +8,7 @@ recorded by a study do not depend on how the work is shared.
 """
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from rbfstudy.highprec import MpCore, approximand_on_probes, lu_solve, measure_l
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
 from rbfstudy.polybasis import MonomialBasis
-from rbfstudy.study import StudyConfig, _inner_probe_mask, build_approximand
+from rbfstudy.study import StudyConfig, _inner_probe_mask, build_approximand, run_study
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DPS = 50
@@ -251,6 +252,11 @@ def pilot(request):
     return _Pilot(request.param)
 
 
+@pytest.fixture(scope="module")
+def mq_pilot():
+    return _Pilot("pilot_mq")
+
+
 def _reference_sups(pilot, nodes):
     """A level's sups by ``_reference_system``, ``mp.lu_solve`` and a sweep
     of ``_expansion_deriv_mp`` for f and s, at the working precision."""
@@ -294,35 +300,103 @@ def _fraction(raw):
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
-def test_memo_evaluates_each_distinct_difference_once(monkeypatch):
-    pilot = _Pilot("pilot_mq")
-    level = 1
-    nodes = pilot.nodes(level)
-    full = 1 + len(pilot.config.deriv_orders)
-    gram = {(_exact_diff(a, b), 1) for i, a in enumerate(nodes) for b in nodes[i:]}
-    rhs = {(_exact_diff(x, c), 1) for x in nodes for c in pilot.f.centers.points}
-    sweep = {(_exact_diff(x, node), full if inner else 1)
-             for x, inner in zip(pilot.probes, pilot.inner_mask) for node in nodes}
-    expected = gram | rhs | sweep
-    # repeats exist on this grid, so the memo has work to save
-    assert len(expected) < len(gram) + len(rhs) + len(sweep)
+def _abs_diffs(points, others):
+    return {tuple(abs(v) for v in _exact_diff(a, b)) for a in points for b in others}
+
+
+def test_memo_evaluates_each_absolute_difference_once_per_study(mq_pilot, monkeypatch):
+    pilot = mq_pilot
+    config = pilot.config
+    centers = pilot.f.centers.points
+    expected = _abs_diffs(pilot.probes, centers)
+    for level in range(config.levels):
+        nodes = pilot.nodes(level)
+        expected |= _abs_diffs(nodes, nodes) | _abs_diffs(nodes, centers)
+        expected |= _abs_diffs(pilot.probes, nodes)
 
     evaluated = []
     uncached = MpCore._evaluate
 
     def counted(self, key):
-        evaluated.append((tuple(_fraction(v) for v in key[0]), key[1]))
+        evaluated.append(tuple(_fraction((0,) + v) for v in key))
         return uncached(self, key)
 
     monkeypatch.setattr(MpCore, "_evaluate", counted)
-    stats = {}
-    pilot.measure(level, stats)
+    result = run_study(config)
+    # f and every level share one memo, and no key is evaluated twice
     assert len(evaluated) == len(set(evaluated)) == len(expected)
     assert set(evaluated) == expected
-    n, pairs = len(nodes), len(pilot.probes) * len(nodes)
-    assert stats["distinct"] == len(expected)
-    assert stats["pairs"] == n * (n + 1) // 2 + n * len(pilot.f.centers.points) + pairs
-    assert stats["dps"] == pilot.config.solver_dps
+    stats = [result.mp_stats[level] for level in range(config.levels)]
+    f_distinct = stats[0]["memo_size"] - stats[0]["distinct"]
+    assert f_distinct == len(_abs_diffs(pilot.probes, centers))
+    assert f_distinct + sum(s["distinct"] for s in stats) == stats[-1]["memo_size"]
+    assert stats[-1]["memo_size"] == len(expected)
+    for level, s in enumerate(stats):
+        n = len(pilot.nodes(level))
+        assert s["pairs"] == n * (n + 1) // 2 + n * len(centers) + len(pilot.probes) * n
+        assert s["dps"] == config.solver_dps
+
+
+def test_study_leaves_no_core_behind(monkeypatch):
+    cores = []
+    build = MpCore.__init__
+
+    def tracked(self, *args):
+        build(self, *args)
+        cores.append(weakref.ref(self))
+
+    monkeypatch.setattr(MpCore, "__init__", tracked)
+    run_study(StudyConfig.load_json(FIXTURES / "pilot_gaussian.json"))
+    gc.collect()
+    assert len(cores) == 1 and cores[0]() is None
+
+
+FOLD_ALPHAS = {
+    1: ((1,), (2,), (3,)),
+    2: ((1, 0), (0, 1), (1, 1), (2, 1), (0, 2)),
+    3: ((1, 0, 1), (1, 0, 0), (0, 2, 1)),
+}
+
+
+def _reflections(diff):
+    """``diff`` with each subset of its axes negated (zeros stay zero)."""
+    return [[-v if flip else v for v, flip in zip(diff, flips)]
+            for flips in itertools.product((False, True), repeat=len(diff))]
+
+
+@pytest.mark.parametrize("value_first", [True, False], ids=["value-first", "orders-first"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make_kernel", KERNELS)
+def test_folded_core_matches_reference_under_reflections(make_kernel, dim, value_first):
+    kernel = make_kernel(dim)
+    rng = np.random.default_rng(10 + dim)
+    with mp.workdps(DPS):
+        core = MpCore(kernel, FOLD_ALPHAS[dim])
+        full = len(core.orders)
+        base = rng.uniform(0.05, 0.9, (3, dim))
+        base[1, 0] = 0.0
+        base[2, -1] = 0.0
+        diffs = [d for row in _mp_points_of(base) for d in _reflections(row)]
+        diffs.append([mpf(0)] * dim)
+        counts = (1, full) if value_first else (full, 1)
+        for count in counts:
+            for diff in diffs:
+                got = core.kernel(diff, count)
+                assert len(got) == count
+                for alpha, value in zip(core.orders, got):
+                    assert _same(value, _kernel_deriv_mp(kernel, alpha, diff)), (alpha, diff)
+        # the reflections of one difference share a memo entry
+        assert len(core.memo) == len({tuple(row) for row in base} | {(0.0,) * dim})
+        basis = MonomialBasis.for_cpd_order(dim, kernel.cpd_order)
+        expansion_core = MpCore(kernel, FOLD_ALPHAS[dim])
+        weights = [mpf(v) / 3 for v in rng.normal(size=len(diffs))]
+        poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
+        for count in counts:
+            for x in [[mpf(0)] * dim] + diffs[:2 ** dim]:
+                got = expansion_core.expansion(diffs, weights, poly, x, count)
+                for alpha, value in zip(core.orders, got):
+                    expected = _expansion_deriv_mp(kernel, diffs, weights, basis, poly, alpha, x)
+                    assert _same(value, expected), (alpha, x)
 
 
 @pytest.mark.parametrize("make_kernel", KERNELS)
@@ -384,3 +458,43 @@ def test_core_is_bound_to_its_precision():
             got = fine.kernel(diff, 2)
             assert all(_same(v, _kernel_deriv_mp(kernel, a, diff))
                        for a, v in zip(fine.orders, got))
+
+
+def test_core_is_bound_to_round_to_nearest():
+    kernel = Kernel.multiquadric(1.0, 0.7, 1)
+    with mp.workdps(DPS):
+        core = MpCore(kernel, ((1,),))
+        diff = [mpf(-0.25)]
+        rounding = mp._prec_rounding[1]
+        mp._prec_rounding[1] = "d"
+        try:
+            with pytest.raises(ValueError, match="round-to-nearest"):
+                MpCore(kernel, ((1,),))
+            with pytest.raises(ValueError, match="rounding 'd'"):
+                core.kernel(diff, 2)
+            with pytest.raises(ValueError, match="rounding 'd'"):
+                core.expansion([[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
+        finally:
+            mp._prec_rounding[1] = rounding
+        got = core.kernel(diff, 2)
+        assert all(_same(v, _kernel_deriv_mp(kernel, a, diff)) for a, v in zip(core.orders, got))
+
+
+@pytest.mark.parametrize("mismatch", ["kernel", "orders", "precision"])
+def test_shared_core_must_match_its_callers(mq_pilot, mismatch):
+    config, f = mq_pilot.config, mq_pilot.f
+    kernel, alphas, dps = config.kernel, config.deriv_orders, config.solver_dps
+    core = MpCore.at_dps(Kernel.gaussian(1.0, 1) if mismatch == "kernel" else kernel,
+                         ((2,),) if mismatch == "orders" else alphas,
+                         dps + 10 if mismatch == "precision" else dps)
+    expansion = (kernel, f.centers.points, f.weights, f.poly_coeffs)
+    nodes = mq_pilot.nodes(0)
+    with pytest.raises(ValueError, match="MpCore"):
+        approximand_on_probes(*expansion, mq_pilot.probes, mq_pilot.inner_mask, alphas, dps,
+                              core=core)
+    with pytest.raises(ValueError, match="MpCore"):
+        measure_level(*expansion, nodes, mq_pilot.probes, mq_pilot.probes[mq_pilot.inner_mask],
+                      alphas, dps, mq_pilot.f_mp, 1.0, core=core)
+    with mp.workdps(dps), pytest.raises(ValueError, match="MpCore"):
+        sup_errors(*expansion, nodes, alphas, mq_pilot.f_mp, 1.0, core=core)
+    assert not core.memo and core.lookups == 0
