@@ -1,15 +1,14 @@
-"""Assembly and solution of the augmented kernel interpolation system.
+"""Kernel expansions and the interpolants solved from them.
 
-The interpolant ``s(x) = p(x) + sum_j c_j h(x - x_j)`` couples a kernel
-part with a polynomial of degree below the kernel's CPD order. The kernel
-weights and polynomial coefficients solve the symmetric saddle-point
-system enforcing interpolation at the nodes together with the moment
-conditions that annihilate the polynomial space. Derivatives of s are
-exact through the kernel's analytic derivative machinery.
+A finite kernel expansion ``f = p + sum_j a_j h(. - z_j)`` couples a kernel
+part with a polynomial of degree below the kernel's CPD order. Derivatives
+are exact through the kernel's analytic derivative machinery, and under the
+moment conditions the native-space semi-norm is a computable quadratic form.
 
-Finite kernel expansions (the same functional form with free centers)
-serve as test functions whose native-space semi-norm is a computable
-quadratic form.
+An interpolant ``s(x) = p(x) + sum_j c_j h(x - x_j)`` is the kernel
+expansion on its nodes. Its weights and polynomial coefficients solve the
+symmetric saddle-point system enforcing interpolation at the nodes together
+with the moment conditions that annihilate the polynomial space.
 """
 
 from __future__ import annotations
@@ -72,100 +71,128 @@ class InterpolationProblem:
         return self.kernel.cpd_order
 
 
-def _expansion_derivatives(kernel, centers, weights, basis, poly_coeffs, alphas, x) -> list:
-    """D^alpha of p + sum_j w_j h(. - z_j), for each alpha in ``alphas``, at
-    a point (dim,) or batch (..., dim): one result per order.
-
-    The orders, probes and centers are checked once, here. The probes are
-    then walked in blocks of about EVAL_BLOCK_PAIRS point-center pairs, so
-    memory does not grow with the number of probes. Every block runs the
-    kernel core in one Workspace, allocated once per call: fresh
-    block-sized arrays per block would be returned to the kernel and
-    faulted in again, zero-filled, by the next block. One pass over a
-    block serves every order: the kernel core shares the block's
-    difference planes, ``t`` and profile derivatives among the orders and
-    gives each order the bits it has alone. The rounding of ``@ weights``
-    follows the block's rows, so the partition depends on the number of
-    centers only, never on the orders, and each order's block goes through
-    the product as it would alone. With no centers the value is the
-    polynomial part alone.
-    """
-    orders = [kernel._check_order(alpha) for alpha in alphas]
-    x, centers = kernel._check_points(x), kernel._check_points(centers)
-    if not orders:
-        return []
-    flat = x.reshape(-1, kernel.dim)
-    outs = [np.empty(len(flat)) for _ in orders]
-    step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
-    work = Workspace(min(step, len(flat)), (len(centers),))
-    for start in range(0, len(flat), step):
-        block = flat[start:start + step]
-        crosses = kernel._cross(orders, block, centers, work)
-        for alpha, cross, out in zip(orders, crosses, outs):
-            value = cross @ weights
-            if basis.size:
-                value += basis.evaluate_derivative(poly_coeffs, alpha, block)
-            out[start:start + step] = value
-    outs = [out.reshape(x.shape[:-1]) for out in outs]
-    return [float(out) if out.ndim == 0 else out for out in outs]
-
-
 @dataclass(frozen=True)
-class Interpolant:
-    """A solved interpolant: kernel weights plus polynomial coefficients."""
+class KernelExpansion:
+    """A finite kernel expansion f = p + sum_j a_j h(. - z_j).
+
+    The weights are expected to satisfy the moment conditions over the
+    centers, which makes the native-space semi-norm of f the square root
+    of the Gram quadratic form of the weights.
+    """
 
     kernel: Kernel
-    nodes: PointSet
-    coeffs: np.ndarray
-    poly_coeffs: np.ndarray
-    cond_estimate: float = float("nan")
+    centers: PointSet
+    weights: np.ndarray
+    poly_coeffs: np.ndarray | None = None
     basis: MonomialBasis = field(init=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
         basis = MonomialBasis.for_cpd_order(self.kernel.dim, self.kernel.cpd_order)
-        poly = np.array(self.poly_coeffs, dtype=float).reshape(-1)
-        if len(coeffs) != len(self.nodes):
-            raise ValueError(f"{len(coeffs)} coefficients for {len(self.nodes)} nodes")
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        poly = (
+            np.zeros(basis.size)
+            if self.poly_coeffs is None
+            else np.array(self.poly_coeffs, dtype=float).reshape(-1)
+        )
+        if self.centers.dim != self.kernel.dim:
+            raise ValueError(f"center dim {self.centers.dim} != kernel dim {self.kernel.dim}")
+        if len(weights) != len(self.centers):
+            raise ValueError(f"{len(weights)} weights for {len(self.centers)} centers")
         if len(poly) != basis.size:
             raise ValueError(f"{len(poly)} polynomial coefficients, expected {basis.size}")
-        coeffs.setflags(write=False)
+        weights.setflags(write=False)
         poly.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "poly_coeffs", poly)
         object.__setattr__(self, "basis", basis)
 
     def evaluate(self, x) -> float | np.ndarray:
-        """Interpolant value at a point (dim,) or batch (..., dim)."""
+        """Value at a point (dim,) or batch (..., dim)."""
         return self.evaluate_derivatives([(0,) * self.kernel.dim], x)[0]
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
-        """Analytic partial derivative of the interpolant of order alpha."""
+        """Analytic partial derivative of order alpha."""
         return self.evaluate_derivatives([alpha], x)[0]
 
     def evaluate_derivatives(self, alphas, x) -> list:
-        """``evaluate_derivative`` of each order in ``alphas``, in one pass
-        over the probes, with the same bits as one call per order."""
-        return _expansion_derivatives(
-            self.kernel, self.nodes.points, self.coeffs, self.basis, self.poly_coeffs, alphas, x
-        )
+        """D^alpha of p + sum_j w_j h(. - z_j), for each alpha in ``alphas``, at
+        a point (dim,) or batch (..., dim): one result per order, with the
+        same bits as one ``evaluate_derivative`` call per order.
+
+        The orders, probes and centers are checked once, here. The probes are
+        then walked in blocks of about EVAL_BLOCK_PAIRS point-center pairs, so
+        memory does not grow with the number of probes. Every block runs the
+        kernel core in one Workspace, allocated once per call: fresh
+        block-sized arrays per block would be returned to the kernel and
+        faulted in again, zero-filled, by the next block. One pass over a
+        block serves every order: the kernel core shares the block's
+        difference planes, ``t`` and profile derivatives among the orders and
+        gives each order the bits it has alone. The rounding of ``@ weights``
+        follows the block's rows, so the partition depends on the number of
+        centers only, never on the orders, and each order's block goes through
+        the product as it would alone. With no centers the value is the
+        polynomial part alone.
+        """
+        kernel = self.kernel
+        orders = [kernel._check_order(alpha) for alpha in alphas]
+        x, centers = kernel._check_points(x), kernel._check_points(self.centers.points)
+        if not orders:
+            return []
+        flat = x.reshape(-1, kernel.dim)
+        outs = [np.empty(len(flat)) for _ in orders]
+        step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
+        work = Workspace(min(step, len(flat)), (len(centers),))
+        for start in range(0, len(flat), step):
+            block = flat[start:start + step]
+            crosses = kernel._cross(orders, block, centers, work)
+            for alpha, cross, out in zip(orders, crosses, outs):
+                value = cross @ self.weights
+                if self.basis.size:
+                    value += self.basis.evaluate_derivative(self.poly_coeffs, alpha, block)
+                out[start:start + step] = value
+        outs = [out.reshape(x.shape[:-1]) for out in outs]
+        return [float(out) if out.ndim == 0 else out for out in outs]
 
     def moment_residual(self) -> float:
         """Euclidean norm of the moment-condition residual of the weights."""
         if self.basis.size == 0:
             return 0.0
-        return float(np.linalg.norm(basis_matrix(self.basis, self.nodes.points).T @ self.coeffs))
+        return float(
+            np.linalg.norm(basis_matrix(self.basis, self.centers.points).T @ self.weights)
+        )
 
-    def as_expansion(self) -> "KernelExpansion":
-        """The interpolant viewed as a kernel expansion on its own nodes."""
-        return KernelExpansion(self.kernel, self.nodes, self.coeffs, self.poly_coeffs)
+    def native_norm(self, moment_tol: float = 1e-8) -> float:
+        """Native-space semi-norm sqrt(a^T A a) on the centers.
+
+        The polynomial part contributes nothing. Raises if the moment
+        conditions are violated beyond ``moment_tol`` (relative to the
+        weight norm) or if the quadratic form is negative beyond roundoff,
+        which signals a kernel sign misconfiguration.
+        """
+        wnorm = float(np.linalg.norm(self.weights))
+        if self.moment_residual() > moment_tol * (1.0 + wnorm):
+            raise ValueError(
+                f"moment-condition residual {self.moment_residual():.3e} exceeds tolerance"
+            )
+        quad = float(self.weights @ self.kernel.gram(self.centers.points) @ self.weights)
+        if quad < -1e-10 * wnorm**2:
+            raise ValueError(f"native quadratic form is negative ({quad:.3e})")
+        return float(np.sqrt(max(quad, 0.0)))
+
+
+@dataclass(frozen=True)
+class Interpolant(KernelExpansion):
+    """A solved interpolant: the kernel expansion on its nodes, with the
+    condition estimate of the system that gave its weights."""
+
+    cond_estimate: float = float("nan")
 
     def to_json_dict(self) -> dict:
         return {
             "version": INTERPOLANT_FORMAT_VERSION,
             "kernel": self.kernel.to_dict(),
-            "nodes": self.nodes.points.tolist(),
-            "coeffs": self.coeffs.tolist(),
+            "nodes": self.centers.points.tolist(),
+            "coeffs": self.weights.tolist(),
             "poly_coeffs": self.poly_coeffs.tolist(),
             "basis_order": "grlex",
             "cond_estimate": self.cond_estimate,
@@ -319,81 +346,6 @@ def _condition_2norm(system: np.ndarray) -> float:
     return float(magnitudes.max() / smallest) if smallest > 0.0 else float("inf")
 
 
-@dataclass(frozen=True)
-class KernelExpansion:
-    """A finite kernel expansion f = p + sum_j a_j h(. - z_j).
-
-    The weights are expected to satisfy the moment conditions over the
-    centers, which makes the native-space semi-norm of f the square root
-    of the Gram quadratic form of the weights.
-    """
-
-    kernel: Kernel
-    centers: PointSet
-    weights: np.ndarray
-    poly_coeffs: np.ndarray | None = None
-    basis: MonomialBasis = field(init=False)
-
-    def __post_init__(self):
-        basis = MonomialBasis.for_cpd_order(self.kernel.dim, self.kernel.cpd_order)
-        weights = np.array(self.weights, dtype=float).reshape(-1)
-        poly = (
-            np.zeros(basis.size)
-            if self.poly_coeffs is None
-            else np.array(self.poly_coeffs, dtype=float).reshape(-1)
-        )
-        if self.centers.dim != self.kernel.dim:
-            raise ValueError(f"center dim {self.centers.dim} != kernel dim {self.kernel.dim}")
-        if len(weights) != len(self.centers):
-            raise ValueError(f"{len(weights)} weights for {len(self.centers)} centers")
-        if len(poly) != basis.size:
-            raise ValueError(f"{len(poly)} polynomial coefficients, expected {basis.size}")
-        weights.setflags(write=False)
-        poly.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "poly_coeffs", poly)
-        object.__setattr__(self, "basis", basis)
-
-    def evaluate(self, x) -> float | np.ndarray:
-        return self.evaluate_derivatives([(0,) * self.kernel.dim], x)[0]
-
-    def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
-        return self.evaluate_derivatives([alpha], x)[0]
-
-    def evaluate_derivatives(self, alphas, x) -> list:
-        """``evaluate_derivative`` of each order in ``alphas``, in one pass
-        over the probes, with the same bits as one call per order."""
-        return _expansion_derivatives(
-            self.kernel, self.centers.points, self.weights, self.basis, self.poly_coeffs,
-            alphas, x,
-        )
-
-    def moment_residual(self) -> float:
-        if self.basis.size == 0:
-            return 0.0
-        return float(
-            np.linalg.norm(basis_matrix(self.basis, self.centers.points).T @ self.weights)
-        )
-
-    def native_norm(self, moment_tol: float = 1e-8) -> float:
-        """Native-space semi-norm sqrt(a^T A a) on the centers.
-
-        The polynomial part contributes nothing. Raises if the moment
-        conditions are violated beyond ``moment_tol`` (relative to the
-        weight norm) or if the quadratic form is negative beyond roundoff,
-        which signals a kernel sign misconfiguration.
-        """
-        wnorm = float(np.linalg.norm(self.weights))
-        if self.moment_residual() > moment_tol * (1.0 + wnorm):
-            raise ValueError(
-                f"moment-condition residual {self.moment_residual():.3e} exceeds tolerance"
-            )
-        quad = float(self.weights @ self.kernel.gram(self.centers.points) @ self.weights)
-        if quad < -1e-10 * wnorm**2:
-            raise ValueError(f"native quadratic form is negative ({quad:.3e})")
-        return float(np.sqrt(max(quad, 0.0)))
-
-
 def interpolate_expansion(f: KernelExpansion, nodes: PointSet, cond_limit: float = DEFAULT_COND_LIMIT) -> Interpolant:
     """Interpolate a kernel expansion at the given nodes with its own kernel."""
     values = np.atleast_1d(f.evaluate(nodes.points))
@@ -422,7 +374,7 @@ def residual_expansion(f: KernelExpansion, interp: Interpolant) -> KernelExpansi
 
     for point, weight in zip(f.centers.points, f.weights):
         add(point, float(weight))
-    for point, weight in zip(interp.nodes.points, interp.coeffs):
+    for point, weight in zip(interp.centers.points, interp.weights):
         add(point, -float(weight))
 
     centers = np.array(order, dtype=float)

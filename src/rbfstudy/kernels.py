@@ -184,29 +184,27 @@ class Kernel:
         """
         return self._at_points(self._check_order(alpha), x)
 
-    def cross(self, alpha, x, centers, work: Workspace | None = None) -> np.ndarray:
+    def cross(self, alpha, x, centers) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
 
         x (n, dim) and centers (m, dim) give an (n, m) matrix, built from
         one contiguous difference plane per axis rather than an
-        (n, m, dim) tensor. The planes and every intermediate live in
-        ``work``, a Workspace of at least n rows of (m,), and the result is
-        a view into it, valid until its next use. A caller walking blocks
-        passes one workspace to every block, so no block allocates, and no
-        block's pages are returned to the kernel and faulted in again by
-        the next. Without a workspace, one sized to x is made.
+        (n, m, dim) tensor.
         """
         alpha = self._check_order(alpha)
         x, centers = self._check_points(x), self._check_points(centers)
-        if work is None:
-            work = Workspace(len(x), (len(centers),))
-        return self._cross([alpha], x, centers, work)[0]
+        return self._cross([alpha], x, centers, Workspace(len(x), (len(centers),)))[0]
 
     def _cross(self, orders: list, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
         """``cross`` of every order in ``orders`` in one pass, one matrix each.
 
-        Nothing is checked here: a caller walking blocks checks its orders,
-        points and centers once and calls this for each block.
+        The planes and every intermediate live in ``work``, a Workspace of
+        at least len(x) rows of (len(centers),), and each result is a view
+        into it, valid until its next use. A caller walking blocks passes
+        one workspace to every block, so no block allocates, and no block's
+        pages are returned to the kernel and faulted in again by the next.
+        Nothing is checked here: such a caller checks its orders, points and
+        centers once and calls this for each block.
         """
         # Each plane is one subtraction of two contiguous arrays, filled by
         # broadcast copies: a broadcasting subtraction ran slower and made

@@ -396,6 +396,14 @@ def base_params_from_fit(fit, max_d: float, norm_f: float, cube_side: float):
     raise TypeError(f"unknown fit type {type(fit)!r}")
 
 
+def _fitted_base_params(result: StudyResult):
+    """``base_params_from_fit`` of the study's value fit, over its rows' largest d."""
+    max_d = max((r.d for r in result.rows), default=0.0)
+    return base_params_from_fit(
+        result.fits.get(VALUE_TAG), max_d, result.approximand_norm, result.config.domain.side
+    )
+
+
 def _base_error(params, d: float, norm_f: float) -> float:
     if isinstance(params, MQBoundParams):
         return bounds.mq_bound(params, d, norm_f)
@@ -517,10 +525,7 @@ def run_study(config: StudyConfig) -> StudyResult:
 def _annotate_regimes(result: StudyResult) -> None:
     """Label derivative rows with the active ceiling branch."""
     config = result.config
-    max_d = max((r.d for r in result.rows), default=0.0)
-    params = base_params_from_fit(
-        result.fits.get(VALUE_TAG), max_d, result.approximand_norm, config.domain.side
-    )
+    params = _fitted_base_params(result)
     if params is None:
         return
     top_deriv = config.deriv_norm_scale * result.approximand_norm
@@ -578,10 +583,7 @@ def check_bounds(
     """
     config = result.config
     if base_params is None:
-        max_d = max((r.d for r in result.rows), default=0.0)
-        base_params = base_params_from_fit(
-            result.fits.get(VALUE_TAG), max_d, result.approximand_norm, config.domain.side
-        )
+        base_params = _fitted_base_params(result)
     if base_params is None:
         raise ValueError("no usable base fit; supply base_params explicitly")
 

@@ -48,7 +48,7 @@ class TestSolveExamples:
     def test_single_gaussian_center(self):
         kernel = Kernel.gaussian(1.0, 1)
         interp = solve(InterpolationProblem(kernel, PointSet.from_array([[0.0]]), [2.0]))
-        assert interp.coeffs == pytest.approx([2.0])
+        assert interp.weights == pytest.approx([2.0])
         assert interp.poly_coeffs.size == 0
         assert interp.evaluate([0.0]) == pytest.approx(2.0)
 
@@ -60,16 +60,16 @@ class TestSolveExamples:
         )
         e = math.exp(-1.0)
         expected = np.array([1.0, -e]) / (1.0 - e * e)
-        assert interp.coeffs == pytest.approx(expected, rel=1e-12)
+        assert interp.weights == pytest.approx(expected, rel=1e-12)
         dense = np.linalg.solve([[1.0, e], [e, 1.0]], [1.0, 0.0])
-        assert interp.coeffs == pytest.approx(dense, rel=1e-12)
+        assert interp.weights == pytest.approx(dense, rel=1e-12)
 
     def test_mq_reproduces_constants(self):
         kernel = Kernel.multiquadric(1.0, 1.0, 1)
         interp = solve(
             InterpolationProblem(kernel, PointSet.from_array([[0.0], [1.0]]), [5.0, 5.0])
         )
-        assert interp.coeffs == pytest.approx([0.0, 0.0], abs=1e-10)
+        assert interp.weights == pytest.approx([0.0, 0.0], abs=1e-10)
         assert interp.poly_coeffs == pytest.approx([5.0], rel=1e-12)
         assert interp.evaluate([0.37]) == pytest.approx(5.0, rel=1e-10)
 
@@ -103,7 +103,7 @@ class TestSolveExamples:
                     system, rhs - system @ expected, assume_a="sym"
                 )
         interp = solve(InterpolationProblem(kernel, nodes, values))
-        assert np.array_equal(interp.coeffs, expected[: len(nodes)])
+        assert np.array_equal(interp.weights, expected[: len(nodes)])
         assert np.array_equal(interp.poly_coeffs, expected[len(nodes):])
 
     def test_cond_estimate_is_two_norm_condition(self):
@@ -132,6 +132,10 @@ class TestSolveExamples:
         kernel = Kernel.gaussian(1.0, 1)
         with pytest.raises(ValueError):
             InterpolationProblem(kernel, PointSet.from_array([[0.0], [1.0]]), [1.0])
+
+    def test_node_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            Interpolant(Kernel.gaussian(1.0, 2), PointSet.from_array([[0.0]]), [1.0], [])
 
 
 class TestConditionEstimate:
@@ -226,10 +230,10 @@ class TestEvaluation:
             count = 10 if kernel.dim == 1 else 25
             interp, values = _solve_well_conditioned(kernel, rng, count=count)
             resid = np.max(
-                np.abs(np.atleast_1d(interp.evaluate(interp.nodes.points)) - values)
+                np.abs(np.atleast_1d(interp.evaluate(interp.centers.points)) - values)
             )
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(values)))
-            assert interp.moment_residual() <= 1e-8 * (1e-30 + np.linalg.norm(interp.coeffs))
+            assert interp.moment_residual() <= 1e-8 * (1e-30 + np.linalg.norm(interp.weights))
 
     def test_zero_data_gives_zero_function(self):
         kernel = Kernel.gaussian(5.0, 1)
@@ -260,7 +264,7 @@ class TestEvaluation:
         rng = np.random.default_rng(40)
         kernel = Kernel.multiquadric(1.0, 0.1, 1)
         interp, values = _solve_well_conditioned(kernel, rng, count=15, cond_limit=1e6)
-        nodes = interp.nodes
+        nodes = interp.centers
         perm = rng.permutation(15)
         shuffled = solve(
             InterpolationProblem(kernel, PointSet.from_array(nodes.points[perm]), values[perm])
@@ -503,7 +507,7 @@ class TestResidualExpansion:
                     continue
                 accepted += 1
                 norm_f = f.native_norm()
-                norm_s = interp.as_expansion().native_norm()
+                norm_s = interp.native_norm()
                 norm_res = residual_expansion(f, interp).native_norm()
                 assert norm_s <= norm_f * (1.0 + 1e-9)
                 assert norm_res <= norm_f * (1.0 + 1e-9)
@@ -533,4 +537,10 @@ class TestSerialization:
         doc = interp.to_json_dict()
         doc["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            Interpolant.from_json_dict(doc)
+
+    def test_node_dimension_mismatch_in_file_rejected(self):
+        doc = Interpolant(Kernel.gaussian(1.0, 1), PointSet.from_array([[0.0]]), [1.0], []).to_json_dict()
+        doc["kernel"] = Kernel.gaussian(1.0, 2).to_dict()
+        with pytest.raises(ValueError, match="dim"):
             Interpolant.from_json_dict(doc)

@@ -299,7 +299,7 @@ def test_one_workspace_across_full_partial_and_full_blocks(dim):
         for alpha in [(0,) * dim] + multi_indices_up_to(dim, 2):
             work = Workspace(11, (17,))
             for block in blocks:
-                got = kernel.cross(alpha, block, centers, work)
+                got = kernel._cross([alpha], block, centers, work)[0]
                 assert got.shape == (len(block), 17)
                 assert np.array_equal(got, _seed_cross(kernel, alpha, block, centers))
 
@@ -323,10 +323,10 @@ def test_workspace_cross_allocates_nothing_of_block_size():
     x = rng.random((rows, 2))
     work = Workspace(rows, (len(centers),))
     # The first call allocates the workspace's arrays; a later block reuses them.
-    kernel.cross((1, 0), x, centers, work)
+    kernel._cross([(1, 0)], x, centers, work)
     tracemalloc.start()
     try:
-        kernel.cross((1, 0), x, centers, work)
+        kernel._cross([(1, 0)], x, centers, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rbfstudy import highprec
-from rbfstudy import interpolant as interpolant_module
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
 from rbfstudy.geometry import CubeDomain
+from rbfstudy.interpolant import KernelExpansion
 from rbfstudy.kernels import Kernel
 from rbfstudy.study import (
     ApproximandSpec,
@@ -360,14 +360,14 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
         probe_resolution=21,
         fill_resolution=16,
     )
-    original = interpolant_module._expansion_derivatives
+    original = KernelExpansion.evaluate_derivatives
     calls = []
 
-    def counting(kernel, centers, weights, basis, poly_coeffs, alphas, x):
-        calls.append((len(centers), tuple(alphas)))
-        return original(kernel, centers, weights, basis, poly_coeffs, alphas, x)
+    def counting(self, alphas, x):
+        calls.append((len(self.centers), tuple(alphas)))
+        return original(self, alphas, x)
 
-    monkeypatch.setattr(interpolant_module, "_expansion_derivatives", counting)
+    monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", counting)
     result = run_study(config)
     node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
     assert result.failed_levels == 0 and node_counts == [9, 25]
@@ -376,10 +376,10 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
     n_f = config.approximand.centers_count
     assert derivative_calls == [(n_f, orders), (9, orders), (25, orders)]
 
-    def per_order(kernel, centers, weights, basis, poly_coeffs, alphas, x):
-        return [original(kernel, centers, weights, basis, poly_coeffs, [a], x)[0] for a in alphas]
+    def per_order(self, alphas, x):
+        return [original(self, [a], x)[0] for a in alphas]
 
-    monkeypatch.setattr(interpolant_module, "_expansion_derivatives", per_order)
+    monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", per_order)
     assert run_study(config).rows == result.rows
 
 
