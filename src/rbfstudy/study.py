@@ -412,49 +412,59 @@ def _base_error(params, d: float, norm_f: float) -> float:
         return bounds.gaussian_bound(params, d, norm_f)
 
 
-def _measure_level_double(config, f, nodes, probes, inner, f_probe, f_deriv):
-    interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
-    s_probe = np.atleast_1d(interp.evaluate(probes))
-    value_error = float(np.max(np.abs(f_probe - s_probe)))
-    deriv_errors = {}
-    s_derivs = interp.evaluate_derivatives(config.deriv_orders, inner)
-    for alpha, s_deriv in zip(config.deriv_orders, s_derivs):
-        deriv_errors[alpha] = float(np.max(np.abs(f_deriv[alpha] - np.atleast_1d(s_deriv))))
-    return value_error, deriv_errors, interp.cond_estimate
+def _double_measure(config, f, probes, inner):
+    """``measure(nodes, stats) -> (errors, cond)`` in double precision, with f
+    on the probes evaluated once per study; errors are value-first sups."""
+    f_values = [np.atleast_1d(f.evaluate(probes))] + [
+        np.atleast_1d(v) for v in f.evaluate_derivatives(config.deriv_orders, inner)
+    ]
+
+    def measure(nodes, stats):
+        interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
+        s_values = [interp.evaluate(probes)] + interp.evaluate_derivatives(
+            config.deriv_orders, inner
+        )
+        errors = [float(np.max(np.abs(fv - np.atleast_1d(sv))))
+                  for fv, sv in zip(f_values, s_values)]
+        return errors, interp.cond_estimate
+
+    return measure
 
 
-def _measure_level_mp(config, f, nodes, probes, inner, f_mp, core, stats):
-    system, _ = assemble_system(config.kernel, nodes)
-    cond = highprec.estimate_condition(system)
-    if cond > config.cond_limit:
-        raise SingularSystemError("saddle-point system too ill-conditioned", cond)
-    value_error, deriv_errors = highprec.measure_level(
-        config.kernel,
-        f.centers.points,
-        f.weights,
-        f.poly_coeffs,
-        nodes.points,
-        probes,
-        inner,
-        config.deriv_orders,
-        config.solver_dps,
-        f_mp,
-        cond,
-        stats=stats,
-        core=core,
+def _mp_measure(config, f, probes, inner_mask):
+    """``_double_measure`` at ``solver_dps``: f in mp and the study's MpCore, one
+    kernel memo for f and every level, are built once per study. ``stats``
+    receives ``highprec.measure_level``'s."""
+    core = highprec.MpCore.at_dps(config.kernel, config.deriv_orders, config.solver_dps)
+    f_mp = highprec.approximand_on_probes(
+        config.kernel, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask,
+        config.deriv_orders, config.solver_dps, core=core,
     )
-    return value_error, deriv_errors, cond
+    inner = probes[inner_mask]
+
+    def measure(nodes, stats):
+        system, _ = assemble_system(config.kernel, nodes)
+        cond = highprec.estimate_condition(system)
+        if cond > config.cond_limit:
+            raise SingularSystemError("saddle-point system too ill-conditioned", cond)
+        value_error, deriv_errors = highprec.measure_level(
+            config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes.points, probes,
+            inner, config.deriv_orders, config.solver_dps, f_mp, cond, stats=stats, core=core,
+        )
+        return [value_error] + [deriv_errors[alpha] for alpha in config.deriv_orders], cond
+
+    return measure
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the refinement sweep and fit decay rates.
 
-    Levels whose solve fails (ill-conditioning) are recorded with NaN
-    errors and excluded from the fits. With ``solver_dps`` set, each
-    level's solve and error measurement run in extended precision so the
-    recorded errors track the true decay below the double-precision noise
-    floor. Rows come out sorted coarse to fine. Deterministic for a fixed
-    config.
+    A measure built once per study, in double or, with ``solver_dps`` set,
+    in extended precision, holds f on the probes and gives each level's sup
+    errors and condition estimate; extended precision tracks the true decay
+    below double's noise floor. A level whose solve fails (ill-conditioning)
+    gets NaN errors, which the fits exclude. Rows come out sorted coarse to
+    fine. Deterministic for a fixed config.
     """
     f = build_approximand(config)
     norm_f = f.native_norm()
@@ -463,18 +473,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     inner = probes[inner_mask]
     if len(inner) == 0:
         raise ValueError("no probe points keep a delta-ball inside the domain")
-    if config.solver_dps is not None:
-        # one kernel memo for f and every level; it dies with this call
-        core = highprec.MpCore.at_dps(config.kernel, config.deriv_orders, config.solver_dps)
-        f_mp = highprec.approximand_on_probes(
-            config.kernel, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask,
-            config.deriv_orders, config.solver_dps, core=core,
-        )
+    if config.solver_dps is None:
+        measure = _double_measure(config, f, probes, inner)
     else:
-        f_probe = np.atleast_1d(f.evaluate(probes))
-        f_derivs = f.evaluate_derivatives(config.deriv_orders, inner)
-        f_deriv = {alpha: np.atleast_1d(v) for alpha, v in zip(config.deriv_orders, f_derivs)}
+        measure = _mp_measure(config, f, probes, inner_mask)
 
+    tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
     rows: list[StudyRow] = []
     failed = 0
     mp_stats: dict[int, dict] = {}
@@ -482,41 +486,20 @@ def run_study(config: StudyConfig) -> StudyResult:
     for level in range(config.levels):
         nodes = _level_nodes(config, level)
         d = fill_distance(config.domain, nodes, fill_res)
-        tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
+        stats = {}
         try:
-            if config.solver_dps is not None:
-                stats = {}
-                value_error, deriv_errors, cond = _measure_level_mp(
-                    config, f, nodes, probes, inner, f_mp, core, stats
-                )
-                mp_stats[level] = stats
-            else:
-                value_error, deriv_errors, cond = _measure_level_double(
-                    config, f, nodes, probes, inner, f_probe, f_deriv
-                )
+            errors, cond = measure(nodes, stats)
         except SingularSystemError as exc:
             failed += 1
-            for tag in tags:
-                rows.append(
-                    StudyRow(level, d, len(nodes), tag, float("nan"), norm_f,
-                             cond_estimate=exc.cond_estimate)
-                )
-            continue
-        rows.append(
-            StudyRow(level, d, len(nodes), VALUE_TAG, value_error, norm_f,
-                     cond_estimate=cond)
-        )
-        for alpha in config.deriv_orders:
-            rows.append(
-                StudyRow(level, d, len(nodes), alpha_tag(alpha), deriv_errors[alpha],
-                         norm_f, cond_estimate=cond)
-            )
+            errors, cond = [float("nan")] * len(tags), exc.cond_estimate
+        if stats:
+            mp_stats[level] = stats
+        rows.extend(StudyRow(level, d, len(nodes), tag, error, norm_f, cond_estimate=cond)
+                    for tag, error in zip(tags, errors))
 
     rows.sort(key=lambda r: (-r.d, r.level, r.alpha_tag != VALUE_TAG, r.alpha_tag))
     result = StudyResult(config, rows, {}, failed, norm_f, mp_stats)
-    result.fits[VALUE_TAG] = _fit_samples(config.kernel.family, result.samples(VALUE_TAG))
-    for alpha in config.deriv_orders:
-        tag = alpha_tag(alpha)
+    for tag in tags:
         result.fits[tag] = _fit_samples(config.kernel.family, result.samples(tag))
     _annotate_regimes(result)
     return result
