@@ -25,7 +25,7 @@ import numpy as np
 # Cap on supported total derivative order; term lists grow quickly past this.
 MAX_DERIVATIVE_ORDER = 6
 
-# Point-center pairs per block of kernel evaluation (Gram rows, expansion
+# Point-center pairs per block of kernel evaluation (cross rows, expansion
 # probes): each float64 array of a block's Workspace takes 256 KB, whatever
 # the number of points. One Workspace serves every block of a call, so the
 # block loop allocates nothing of block size. Fresh arrays per block made
@@ -187,13 +187,21 @@ class Kernel:
     def cross(self, alpha, x, centers) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
 
-        x (n, dim) and centers (m, dim) give an (n, m) matrix, built from
-        one contiguous difference plane per axis rather than an
-        (n, m, dim) tensor.
+        x (n, dim) and centers (m, dim) give an (n, m) matrix, filled in row
+        blocks of about EVAL_BLOCK_PAIRS pairs that share one Workspace, so
+        the kernel core's arrays do not grow with the matrix and are
+        allocated once. Each block is built from one contiguous difference
+        plane per axis rather than an (n, m, dim) tensor. The order and the
+        points are checked once, not per block.
         """
-        alpha = self._check_order(alpha)
+        orders = [self._check_order(alpha)]
         x, centers = self._check_points(x), self._check_points(centers)
-        return self._cross([alpha], x, centers, Workspace(len(x), (len(centers),)))[0]
+        out = np.empty((len(x), len(centers)))
+        step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
+        work = Workspace(min(step, len(x)), (len(centers),))
+        for start in range(0, len(x), step):
+            out[start:start + step] = self._cross(orders, x[start:start + step], centers, work)[0]
+        return out
 
     def _cross(self, orders: list, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
         """``cross`` of every order in ``orders`` in one pass, one matrix each.
@@ -220,21 +228,8 @@ class Kernel:
         return self._derivative_on_planes(orders, planes, work)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences.
-
-        Filled in row blocks of about EVAL_BLOCK_PAIRS pairs that share one
-        Workspace, so the kernel core's arrays do not grow with the matrix
-        and are allocated once. The points are checked once, not per block.
-        """
-        points = self._check_points(points)
-        n = len(points)
-        out = np.empty((n, n))
-        step = max(1, EVAL_BLOCK_PAIRS // max(1, n))
-        work = Workspace(min(step, n), (n,))
-        orders = [(0,) * self.dim]
-        for start in range(0, n, step):
-            out[start:start + step] = self._cross(orders, points[start:start + step], points, work)[0]
-        return out
+        """Symmetric matrix of kernel values on all pairwise differences."""
+        return self.cross((0,) * self.dim, points, points)
 
     def _at_points(self, alpha: tuple[int, ...], x) -> float | np.ndarray:
         x = self._check_points(x)
@@ -322,8 +317,10 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        family = KernelFamily(d["family"])
-        return cls(family, float(d["beta"]), int(d["dim"]), d.get("c"))
+        family, dim = KernelFamily(d["family"]), d["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"kernel dim must be an integer, got {dim!r}")
+        return cls(family, float(d["beta"]), dim, d.get("c"))
 
 
 def _check_multi_index(alpha, dim: int) -> tuple[int, ...]:

@@ -70,6 +70,20 @@ def alpha_tag(alpha) -> str:
     return "-".join(str(int(a)) for a in alpha)
 
 
+def _field_defaults(cls) -> dict:
+    """A dataclass's field defaults, so ``from_dict`` writes none of them again."""
+    return {field.name: field.default for field in dataclasses.fields(cls)}
+
+
+def _check_int(key: str, value, minimum: int, optional: bool = False) -> None:
+    """Refuse a config integer that is not an int, is a bool, or is below minimum."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        null = "null or " if optional else ""
+        raise ValueError(f"{key} must be {null}an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ApproximandSpec:
     """Recipe for the synthetic kernel-expansion approximand.
@@ -87,6 +101,11 @@ class ApproximandSpec:
     weights_scale: float = 1.0
     normalize: bool = True
     poly: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _check_int("approximand.centers.count", self.centers_count, 1, optional=True)
+        _check_int("approximand.centers.seed", self.centers_seed, 0, optional=True)
+        _check_int("approximand.weights_seed", self.weights_seed, 0)
 
     def to_dict(self) -> dict:
         return {
@@ -107,27 +126,23 @@ class ApproximandSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ApproximandSpec":
+        default = _field_defaults(cls)
         centers = d.get("centers", {})
-        poly = d.get("poly")
-        points = centers.get("points")
+        poly = d.get("poly", default["poly"])
+        points = centers.get("points", default["centers_points"])
         return cls(
-            centers_scheme=centers.get("scheme", "random"),
-            centers_count=centers.get("count"),
-            centers_spacing=centers.get("spacing"),
-            centers_seed=centers.get("seed"),
+            centers_scheme=centers.get("scheme", default["centers_scheme"]),
+            centers_count=centers.get("count", default["centers_count"]),
+            centers_spacing=centers.get("spacing", default["centers_spacing"]),
+            centers_seed=centers.get("seed", default["centers_seed"]),
             centers_points=tuple(tuple(float(v) for v in p) for p in points)
             if points is not None
             else None,
-            weights_seed=int(d.get("weights_seed", 11)),
-            weights_scale=float(d.get("weights_scale", 1.0)),
-            normalize=bool(d.get("normalize", True)),
+            weights_seed=d.get("weights_seed", default["weights_seed"]),
+            weights_scale=float(d.get("weights_scale", default["weights_scale"])),
+            normalize=bool(d.get("normalize", default["normalize"])),
             poly=tuple(float(v) for v in poly) if poly is not None else None,
         )
-
-
-def _check_optional_positive_int(key: str, value) -> None:
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-        raise ValueError(f"{key} must be null or a positive integer, got {value!r}")
 
 
 def _check_lattice_size(key: str, points: int, dim: int) -> None:
@@ -172,15 +187,20 @@ class StudyConfig:
         elif self.refinement_scheme in ("halton", "random"):
             if not self.counts:
                 raise ValueError(f"{self.refinement_scheme} refinement needs counts")
-            ct = tuple(int(v) for v in self.counts)
+            ct = tuple(self.counts)
+            for count in ct:
+                _check_int("an entry of refinement.counts", count, 1)
             if any(b <= a for a, b in zip(ct, ct[1:])):
                 raise ValueError(f"counts must be strictly increasing, got {ct}")
             object.__setattr__(self, "counts", ct)
         else:
             raise ValueError(f"unknown refinement scheme {self.refinement_scheme!r}")
-        orders = tuple(tuple(int(a) for a in alpha) for alpha in self.deriv_orders)
+        orders = tuple(tuple(alpha) for alpha in self.deriv_orders)
         object.__setattr__(self, "deriv_orders", orders)
+        _check_int("derivatives.l", self.smoothness_order, 1)
         for alpha in orders:
+            for a in alpha:
+                _check_int("an entry of derivatives.orders", a, 0)
             if len(alpha) != self.kernel.dim:
                 raise ValueError(f"multi-index {alpha} does not match dim {self.kernel.dim}")
             k = sum(alpha)
@@ -193,10 +213,16 @@ class StudyConfig:
                 f"delta must lie in (0, side/2) so probes keep a ball inside the domain, "
                 f"got {self.delta}"
             )
-        if self.probe_resolution < 2:
-            raise ValueError("probe_resolution must be >= 2")
-        _check_optional_positive_int("fill_resolution", self.fill_resolution)
-        _check_optional_positive_int("tolerances.solver_dps", self.solver_dps)
+        _check_int("probe_resolution", self.probe_resolution, 2)
+        _check_int("fill_resolution", self.fill_resolution, 1, optional=True)
+        _check_int("tolerances.solver_dps", self.solver_dps, 1, optional=True)
+        _check_int("seed", self.seed, 0)
+        if not self.cond_limit > 0.0:
+            raise ValueError(f"tolerances.cond_limit must be > 0, got {self.cond_limit}")
+        if not 0.0 <= self.check_min_pass_fraction <= 1.0:
+            raise ValueError(
+                f"check.min_pass_fraction must lie in [0, 1], got {self.check_min_pass_fraction}"
+            )
         if self.solver_dps is not None and self.solver_dps <= DOUBLE_DIGITS:
             raise ValueError(
                 f"tolerances.solver_dps must exceed double precision's {DOUBLE_DIGITS} "
@@ -243,6 +269,7 @@ class StudyConfig:
     def from_dict(cls, d: dict) -> "StudyConfig":
         if d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {d.get('version')!r}")
+        default = _field_defaults(cls)
         refinement = d["refinement"]
         derivatives = d.get("derivatives", {})
         tolerances = d.get("tolerances", {})
@@ -255,16 +282,18 @@ class StudyConfig:
             spacings=tuple(refinement.get("spacings", ())) or None,
             counts=tuple(refinement.get("counts", ())) or None,
             deriv_orders=tuple(tuple(a) for a in derivatives.get("orders", [])),
-            smoothness_order=int(derivatives.get("l", 2)),
-            delta=float(d.get("delta", 0.1)),
-            probe_resolution=int(d.get("probe_resolution", 201)),
-            fill_resolution=d.get("fill_resolution"),
-            cond_limit=float(tolerances.get("cond_limit", DEFAULT_COND_LIMIT)),
-            solver_dps=tolerances.get("solver_dps"),
-            seed=int(d.get("seed", 7)),
-            check_enabled=bool(check.get("enabled", True)),
-            check_min_pass_fraction=float(check.get("min_pass_fraction", 0.8)),
-            deriv_norm_scale=float(check.get("deriv_norm_scale", 1.0)),
+            smoothness_order=derivatives.get("l", default["smoothness_order"]),
+            delta=float(d.get("delta", default["delta"])),
+            probe_resolution=d.get("probe_resolution", default["probe_resolution"]),
+            fill_resolution=d.get("fill_resolution", default["fill_resolution"]),
+            cond_limit=float(tolerances.get("cond_limit", default["cond_limit"])),
+            solver_dps=tolerances.get("solver_dps", default["solver_dps"]),
+            seed=d.get("seed", default["seed"]),
+            check_enabled=bool(check.get("enabled", default["check_enabled"])),
+            check_min_pass_fraction=float(
+                check.get("min_pass_fraction", default["check_min_pass_fraction"])
+            ),
+            deriv_norm_scale=float(check.get("deriv_norm_scale", default["deriv_norm_scale"])),
         )
 
     @classmethod

@@ -192,6 +192,22 @@ def test_gram_memory_is_the_result_plus_a_block():
     assert peak < 48 * 2**20
 
 
+def test_cross_memory_is_the_result_plus_a_block():
+    kernel = Kernel.multiquadric(1.0, 0.1, 2)
+    rng = np.random.default_rng(22)
+    x, centers = rng.random((2000, 2)), rng.random((1000, 2))
+    tracemalloc.start()
+    try:
+        cross = kernel.cross((1, 0), x, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cross.shape == (2000, 1000)
+    # The result takes 15 MB and the block's workspace about 2 MB; one
+    # unblocked pass over all pairs peaked near 76 MB.
+    assert peak < 24 * 2**20
+
+
 # The allocating kernel core that the workspace core replaced, kept as the
 # reference: every step makes a fresh array. The workspace core must repeat
 # its operations in the same order and give the same bits.

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rbfstudy import highprec
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
+from rbfstudy.cli import EXIT_PARTIAL, main
 from rbfstudy.geometry import CubeDomain
 from rbfstudy.interpolant import KernelExpansion
 from rbfstudy.kernels import Kernel
@@ -24,6 +26,8 @@ from rbfstudy.study import (
     summary_dict,
     write_rows_csv,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tiny_config(**overrides):
@@ -89,6 +93,45 @@ class TestConfig:
         doc["fill_resolution"] = resolution
         with pytest.raises(ValueError, match="fill_resolution"):
             StudyConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("probe_resolution",), 200.7, "probe_resolution must be an integer"),
+            (("probe_resolution",), True, "probe_resolution must be an integer"),
+            (("derivatives", "orders"), [[1.9]], "entry of derivatives.orders must be an integer"),
+            (("derivatives", "l"), 2.9, "derivatives.l must be an integer"),
+            (("seed",), 7.5, "seed must be an integer"),
+            (("kernel", "dim"), 1.9, "kernel dim must be an integer"),
+            (("approximand", "weights_seed"), 11.5, "weights_seed must be an integer"),
+            (("refinement",), {"scheme": "halton", "counts": [10, 20.5]},
+             "entry of refinement.counts must be an integer"),
+            (("check", "min_pass_fraction"), 1.5, r"min_pass_fraction must lie in \[0, 1\]"),
+            (("tolerances", "cond_limit"), -1, "tolerances.cond_limit must be > 0"),
+        ],
+    )
+    def test_config_numbers_checked_not_truncated(self, path, value, match):
+        doc = tiny_config().to_dict()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            StudyConfig.from_dict(doc)
+
+    def test_minimal_config_takes_the_dataclass_defaults(self):
+        kernel, domain = Kernel.gaussian(40.0, 1), CubeDomain.unit(1)
+        doc = {"kernel": kernel.to_dict(), "domain": domain.to_dict(),
+               "refinement": {"scheme": "grid", "spacings": [0.25, 0.125]}}
+        config = StudyConfig.from_dict(doc)
+        assert config == StudyConfig(kernel, domain, spacings=(0.25, 0.125))
+        assert len(build_approximand(config).centers) == ApproximandSpec().centers_count
+
+    def test_random_centers_without_a_seed_are_deterministic(self):
+        doc = tiny_config().to_dict()
+        doc["approximand"]["centers"] = {"scheme": "random", "count": 5}
+        first, second = (build_approximand(StudyConfig.from_dict(doc)) for _ in range(2))
+        assert np.array_equal(first.centers.points, second.centers.points)
 
     def test_oversized_lattice_rejected_before_allocation(self):
         with pytest.raises(ValueError, match="probe_resolution.*bytes"):
@@ -186,6 +229,26 @@ class TestRunStudy:
         assert failed_rows
         for tag in ("0", "1"):
             assert all(math.isfinite(e) for _, e in result.samples(tag))
+
+    def test_failed_mp_level_gives_nan_rows_with_its_gate_reading(self, tmp_path):
+        # The double gate reads 2.141e19 and 1.887e18 on pilot_mq's two
+        # finest levels, so a limit of 1e15 refuses both before the mp solve.
+        config = dataclasses.replace(
+            StudyConfig.load_json(FIXTURES / "pilot_mq.json"), cond_limit=1e15
+        )
+        result = run_study(config)
+        assert result.failed_levels == 2 and set(result.mp_stats) == {0, 1}
+        assert len(result.rows) == 2 * config.levels
+        readings = {2: 2.141e19, 3: 1.887e18}
+        for row in result.rows:
+            if row.level in readings:
+                assert math.isnan(row.sup_error)
+                assert row.cond_estimate == pytest.approx(readings[row.level], rel=1e-3)
+            else:
+                assert math.isfinite(row.sup_error) and row.cond_estimate < 1e15
+        path = tmp_path / "config.json"
+        config.save_json(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARTIAL
 
     def test_deterministic_rows(self):
         a = run_study(tiny_config())
