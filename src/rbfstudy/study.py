@@ -104,7 +104,9 @@ class ApproximandSpec:
 
     def __post_init__(self):
         _check_int("approximand.centers.count", self.centers_count, 1, optional=True)
-        _check_int("approximand.centers.seed", self.centers_seed, 0, optional=True)
+        # random centers without a seed would differ from run to run
+        _check_int("approximand.centers.seed", self.centers_seed, 0,
+                   optional=self.centers_scheme != "random")
         _check_int("approximand.weights_seed", self.weights_seed, 0)
 
     def to_dict(self) -> dict:

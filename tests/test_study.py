@@ -104,6 +104,7 @@ class TestConfig:
             (("seed",), 7.5, "seed must be an integer"),
             (("kernel", "dim"), 1.9, "kernel dim must be an integer"),
             (("approximand", "weights_seed"), 11.5, "weights_seed must be an integer"),
+            (("approximand", "centers", "seed"), None, "centers.seed must be an integer"),
             (("refinement",), {"scheme": "halton", "counts": [10, 20.5]},
              "entry of refinement.counts must be an integer"),
             (("check", "min_pass_fraction"), 1.5, r"min_pass_fraction must lie in \[0, 1\]"),
