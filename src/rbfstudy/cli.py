@@ -1,8 +1,10 @@
 """Command-line harness for refinement studies, rate fits, and the Gorny
 inequality campaign.
 
-Exit codes: 0 all checks pass, 2 some refinement levels failed to solve,
-3 the bound-shape check (or the Gorny campaign) failed.
+Exit codes: 0 all checks pass, 2 some refinement levels failed to solve
+or a bad argument (as argparse uses it; ``fit`` also when its rows file
+has no rows of the tag or too few usable ones for the model), 3 the
+bound-shape check (or the Gorny campaign) failed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from rbfstudy.study import (
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
+EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 
@@ -79,6 +82,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_fit(args) -> int:
     rows = read_rows_csv(args.rows)
+    tags = list(dict.fromkeys(row["alpha"] for row in rows))
+    if args.alpha not in tags:
+        print(f"rbfstudy fit: no rows tagged {args.alpha!r} in {args.rows}; its tags are "
+              f"{', '.join(map(repr, tags)) or 'none'}", file=sys.stderr)
+        return EXIT_USAGE
     samples = [
         (row["d"], row["sup_error"])
         for row in rows
@@ -86,10 +94,12 @@ def _cmd_fit(args) -> int:
         and math.isfinite(row["sup_error"])
         and row["sup_error"] > 0.0
     ]
-    if args.model == "mq":
-        fit = fit_mq_rate(samples)
-    else:
-        fit = fit_gaussian_rate(samples)
+    try:
+        fit = fit_mq_rate(samples) if args.model == "mq" else fit_gaussian_rate(samples)
+    except ValueError as exc:
+        print(f"rbfstudy fit: cannot fit the {args.model} model to the {len(samples)} rows "
+              f"tagged {args.alpha!r} with a finite positive error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps(fit_report_dict(fit, len(samples)), indent=2, sort_keys=True))
     return EXIT_OK
 

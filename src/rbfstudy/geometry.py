@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from rbfstudy.configvalues import number
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -49,8 +51,8 @@ class CubeDomain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CubeDomain":
-        lower = [float(v) for v in d["lower"]]
-        return cls(len(lower), tuple(lower), float(d["side"]))
+        lower = [number("an entry of domain.lower", v) for v in d["lower"]]
+        return cls(len(lower), tuple(lower), number("domain.side", d["side"]))
 
 
 @dataclass(frozen=True)

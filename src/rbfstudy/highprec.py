@@ -17,8 +17,9 @@ LU on row lists repeating mpmath 1.3's ``lu_solve`` operation for
 operation, then makes one pass over the probes for all orders.
 
 Two further savings keep the bits. One ``MpCore`` serves a whole study:
-``run_study`` builds it and passes it to ``approximand_on_probes`` and to
-every level's ``measure_level``, and a standalone call builds its own.
+``run_study`` builds it at ``solver_dps`` and passes it to
+``approximand_on_probes`` and to every level's ``measure_level``, which
+run at the precision it was built at, whatever the caller's context.
 Its memo is keyed on a difference's per-axis absolute values (the
 ``_mpf_`` tuples less their sign bits) and holds every order, so each
 distinct absolute difference is evaluated once per study, across f and
@@ -29,13 +30,13 @@ each axis and ``t`` is even, so under round-to-nearest, which rounds
 ``-y`` to minus the rounding of ``y`` and has no ``-0``, reflecting an
 axis negates exactly the orders whose alpha entries on the reflected
 axes sum to an odd number. A core therefore refuses any precision or
-rounding but the ones it was built at, and any kernel or orders but its
-own. The kernel body and the hot loops (expansion sums, LU row updates
-and substitutions) run on raw ``_mpf_`` tuples through ``mpmath.libmp``'s
-``mpf_add``/``mpf_sub``/``mpf_mul``/``mpf_div``/``mpf_exp``/``mpf_pow``/
-``mpf_pow_int`` at the context's precision and rounding, which are the
-very calls the ``mpf`` operators and ``mp.exp`` make, without the
-wrapper objects.
+rounding but the ones it was built at, and ``measure_level`` any kernel
+or orders but its own. The kernel body and the hot loops (expansion
+sums, LU row updates and substitutions) run on raw ``_mpf_`` tuples
+through ``mpmath.libmp``'s ``mpf_add``/``mpf_sub``/``mpf_mul``/
+``mpf_div``/``mpf_exp``/``mpf_pow``/``mpf_pow_int`` at the core's
+precision and rounding, which are the very calls the ``mpf`` operators
+and ``mp.exp`` make, without the wrapper objects.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from rbfstudy.polybasis import MonomialBasis
 
 class MpCore:
     """Kernel and monomial derivatives of the orders ``(0,...,0) + alphas``,
-    built and used at one working precision and round-to-nearest;
+    built and used at ``dps`` digits (``prec`` bits) and round-to-nearest;
     ``count`` asks for the first ``count`` orders (1: the value).
 
     ``memo`` maps a difference's per-axis absolute values (each ``_mpf_``
@@ -68,51 +69,46 @@ class MpCore:
     and ``expansion`` refuse at any precision or rounding but its own, and
     ``source`` and ``orders`` name the kernel and orders it serves."""
 
-    def __init__(self, kernel: Kernel, alphas):
-        self.prec, self.rounding = mp._prec_rounding
-        if self.rounding != round_nearest:
-            raise ValueError(f"MpCore needs round-to-nearest, not rounding {self.rounding!r}")
-        self.memo = {}
-        self.lookups = 0
-        self.source = kernel
-        self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
-        self.gaussian = kernel.family is KernelFamily.GAUSSIAN
-        # per order: [(j, poly)], poly a list of (raw coeff, ((axis, e), ...)),
-        # or None for the constant polynomial 1, which leaves profile_j as it is
-        self.terms = [[(term.deriv_order, None if term.poly == {self.orders[0]: 1.0} else [
-            (mpf(coeff)._mpf_, tuple((axis, e) for axis, e in enumerate(expo) if e))
-            for expo, coeff in term.poly.items()
-        ]) for term in derivative_terms(kernel.dim, alpha)] for alpha in self.orders]
-        self.profile_orders = sorted({j for terms in self.terms for j, _ in terms})
-        # per pattern of sign bits over the axes: per order, whether it flips
-        self.flips = {signs: [sum(a for a, s in zip(alpha, signs) if s) % 2
-                              for alpha in self.orders]
-                      for signs in itertools.product((0, 1), repeat=kernel.dim)}
-        top = self.profile_orders[-1]
-        if self.gaussian:
-            neg_beta = -mpf(kernel.beta)
-            self.neg_beta = neg_beta._mpf_
-            scale = [neg_beta ** j for j in range(top + 1)]
-        else:
-            self.shift = (mpf(kernel.c) ** 2)._mpf_
-            half = mpf(kernel.beta) / 2
-            power = [half - j for j in range(top + 1)]
-            scale = [mp.gamma(-half)]
-            for p in power[:-1]:
-                scale.append(scale[-1] * p)
-            self.power = [p._mpf_ for p in power]
-        self.scale = [v._mpf_ for v in scale]
-        self.basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
-        # per order, per basis monomial: its derivative as a one-term poly,
-        # or None where it vanishes
-        self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
-                          for alpha in self.orders]
-
-    @classmethod
-    def at_dps(cls, kernel: Kernel, alphas, dps: int) -> "MpCore":
-        """A core built at ``dps`` digits, whatever the working precision."""
+    def __init__(self, kernel: Kernel, alphas, dps: int):
         with mp.workdps(dps):
-            return cls(kernel, alphas)
+            self.prec, self.rounding = mp._prec_rounding
+            if self.rounding != round_nearest:
+                raise ValueError(f"MpCore needs round-to-nearest, not rounding {self.rounding!r}")
+            self.memo = {}
+            self.lookups = 0
+            self.source = kernel
+            self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
+            self.gaussian = kernel.family is KernelFamily.GAUSSIAN
+            # per order: [(j, poly)], poly a list of (raw coeff, ((axis, e), ...)),
+            # or None for the constant polynomial 1, which leaves profile_j as it is
+            self.terms = [[(term.deriv_order, None if term.poly == {self.orders[0]: 1.0} else [
+                (mpf(coeff)._mpf_, tuple((axis, e) for axis, e in enumerate(expo) if e))
+                for expo, coeff in term.poly.items()
+            ]) for term in derivative_terms(kernel.dim, alpha)] for alpha in self.orders]
+            self.profile_orders = sorted({j for terms in self.terms for j, _ in terms})
+            # per pattern of sign bits over the axes: per order, whether it flips
+            self.flips = {signs: [sum(a for a, s in zip(alpha, signs) if s) % 2
+                                  for alpha in self.orders]
+                          for signs in itertools.product((0, 1), repeat=kernel.dim)}
+            top = self.profile_orders[-1]
+            if self.gaussian:
+                neg_beta = -mpf(kernel.beta)
+                self.neg_beta = neg_beta._mpf_
+                scale = [neg_beta ** j for j in range(top + 1)]
+            else:
+                self.shift = (mpf(kernel.c) ** 2)._mpf_
+                half = mpf(kernel.beta) / 2
+                power = [half - j for j in range(top + 1)]
+                scale = [mp.gamma(-half)]
+                for p in power[:-1]:
+                    scale.append(scale[-1] * p)
+                self.power = [p._mpf_ for p in power]
+            self.scale = [v._mpf_ for v in scale]
+            self.basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
+            # per order, per basis monomial: its derivative as a one-term poly,
+            # or None where it vanishes
+            self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
+                              for alpha in self.orders]
 
     def _check_prec(self) -> None:
         if mp._prec_rounding != [self.prec, self.rounding]:
@@ -210,25 +206,12 @@ def _mp_rows(points) -> list:
     return [[mpf(v) for v in row] for row in np.atleast_2d(points)]
 
 
-def _core_for(core: MpCore | None, kernel: Kernel, alphas) -> MpCore:
-    """``core``, checked to serve ``kernel`` and ``alphas`` at the working
-    precision, or a new core if it is None."""
-    if core is None:
-        return MpCore(kernel, alphas)
-    if core.source != kernel or core.orders[1:] != tuple(tuple(a) for a in alphas):
-        raise ValueError(f"MpCore of {core.source} and orders {core.orders[1:]} passed for "
-                         f"{kernel} and orders {tuple(alphas)}")
-    core._check_prec()
-    return core
-
-
-def approximand_on_probes(kernel, centers, weights, poly_coeffs, probes, inner_mask,
-                          alphas, dps, core: MpCore | None = None) -> list:
+def approximand_on_probes(core: MpCore, centers, weights, poly_coeffs, probes,
+                          inner_mask) -> list:
     """The approximand in mp, once per study, for ``measure_level``: per probe,
-    its mp coordinates and f's value, then at inner probes each derivative.
-    ``core``, if given, is the study's, built at ``dps``; else one is built."""
-    with mp.workdps(dps):
-        core = _core_for(core, kernel, alphas)
+    its mp coordinates and f's value, then at inner probes each of ``core``'s
+    derivatives, at the precision ``core`` was built at."""
+    with mp.workprec(core.prec):
         mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
         mp_poly = [mpf(v) for v in poly_coeffs]
         return [(x, core.expansion(mp_centers, mp_weights, mp_poly, x,
@@ -289,69 +272,61 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
 
 def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
                   poly_coeffs: np.ndarray, nodes: np.ndarray, probes: np.ndarray,
-                  inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...], dps: int,
-                  f_on_probes: list, cond_estimate: float, stats: dict | None = None,
-                  core: MpCore | None = None) -> tuple[float, dict]:
+                  inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...],
+                  f_on_probes: list, cond_estimate: float, core: MpCore,
+                  stats: dict | None = None) -> list:
     """Solve one refinement level and measure sup errors in mp arithmetic.
 
     The approximand (kernel expansion given by float centers, weights, and
-    polynomial coefficients) is interpolated at the nodes; returns the sup
-    of the value error over ``probes`` and of each derivative error over
-    ``inner_probes``, both cast back to float. ``f_on_probes`` is
-    ``approximand_on_probes`` of the same probes, alphas and dps;
+    polynomial coefficients) is interpolated at the nodes; returns, as mpf,
+    the sup of the value error over ``probes`` and then of each derivative
+    error over ``inner_probes``. ``core``, built at the study's dps for
+    ``kernel`` and ``alphas``, serves the Gram matrix, the right-hand side
+    and the probe sweep, and sets the precision all of them run at.
+    ``f_on_probes`` is ``approximand_on_probes`` of the same probes and core;
     ``cond_estimate`` is reported if the solve finds the system singular.
-    ``stats`` and ``core``, if given, go to ``sup_errors``."""
+    ``stats``, if given, receives the working ``dps``, the wall times
+    ``assembly_s``, ``lu_s`` and ``sweep_s``, this level's ``pairs``
+    lookups, the ``distinct`` memo entries they added and the memo's
+    ``memo_size`` after them."""
     inner_count = sum(len(values) > 1 for _, values in f_on_probes)
     if len(f_on_probes) != len(probes) or (alphas and inner_count != len(inner_probes)):
         raise ValueError("f_on_probes does not match the probes and inner probes")
-    with mp.workdps(dps):
-        worst = sup_errors(kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes,
-                           cond_estimate, stats, core)
-    return float(worst[0]), {alpha: float(w) for alpha, w in zip(alphas, worst[1:])}
-
-
-def sup_errors(kernel: Kernel, centers, weights, poly_coeffs, nodes, alphas, f_on_probes: list,
-               cond_estimate: float, stats: dict | None = None,
-               core: MpCore | None = None) -> list:
-    """``measure_level``'s sups as mpf, value first, at the working precision.
-
-    One ``MpCore`` serves the Gram matrix, the right-hand side and the
-    probe sweep: ``core``, shared with the rest of a study, or else a new
-    one for this level alone. ``stats``, if given, receives the working
-    ``dps``, the wall times ``assembly_s``, ``lu_s`` and ``sweep_s``, this
-    level's ``pairs`` lookups, the ``distinct`` memo entries they added and
-    the memo's ``memo_size`` after them."""
+    if core.source != kernel or core.orders[1:] != tuple(tuple(a) for a in alphas):
+        raise ValueError(f"MpCore of {core.source} and orders {core.orders[1:]} passed for "
+                         f"{kernel} and orders {tuple(alphas)}")
     clock = time.perf_counter
     start = clock()
-    core = _core_for(core, kernel, alphas)
     size, lookups = len(core.memo), core.lookups
-    prec, rnd = mp._prec_rounding
-    mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
-    mp_poly = [mpf(v) for v in poly_coeffs]
-    mp_nodes = _mp_rows(nodes)
-    n, q = len(mp_nodes), core.basis.size
-    system = [[mpf(0)] * (n + q) for _ in range(n + q)]
-    for i, xi in enumerate(mp_nodes):
-        for j in range(i, n):
-            diff = [a - b for a, b in zip(xi, mp_nodes[j])]
-            system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
-        point = [v._mpf_ for v in xi]
-        for k, mono in enumerate(core.monomials[0]):
-            system[i][n + k] = system[n + k][i] = mp.make_mpf(_poly_value(mono, point, prec, rnd))
-    rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
-    assembled = clock()
-    solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
-    solved = clock()
-    coeffs, sol_poly = solution[:n], solution[n:]
-    worst = [mpf(0)] * len(core.orders)
-    for x, f_values in f_on_probes:
-        s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
-        for k, (fv, sv) in enumerate(zip(f_values, s_values)):
-            worst[k] = max(worst[k], abs(fv - sv))
-    if stats is not None:
-        stats.update(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
-                     sweep_s=clock() - solved, distinct=len(core.memo) - size,
-                     pairs=core.lookups - lookups, memo_size=len(core.memo))
+    with mp.workprec(core.prec):
+        prec, rnd = mp._prec_rounding
+        mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
+        mp_poly = [mpf(v) for v in poly_coeffs]
+        mp_nodes = _mp_rows(nodes)
+        n, q = len(mp_nodes), core.basis.size
+        system = [[mpf(0)] * (n + q) for _ in range(n + q)]
+        for i, xi in enumerate(mp_nodes):
+            for j in range(i, n):
+                diff = [a - b for a, b in zip(xi, mp_nodes[j])]
+                system[i][j] = system[j][i] = core.kernel(diff, 1)[0]
+            point = [v._mpf_ for v in xi]
+            for k, mono in enumerate(core.monomials[0]):
+                system[i][n + k] = system[n + k][i] = mp.make_mpf(
+                    _poly_value(mono, point, prec, rnd))
+        rhs = [core.expansion(mp_centers, mp_weights, mp_poly, x, 1)[0] for x in mp_nodes]
+        assembled = clock()
+        solution, _, _ = lu_solve(system, rhs + [mpf(0)] * q, cond_estimate)
+        solved = clock()
+        coeffs, sol_poly = solution[:n], solution[n:]
+        worst = [mpf(0)] * len(core.orders)
+        for x, f_values in f_on_probes:
+            s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
+            for k, (fv, sv) in enumerate(zip(f_values, s_values)):
+                worst[k] = max(worst[k], abs(fv - sv))
+        if stats is not None:
+            stats.update(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
+                         sweep_s=clock() - solved, distinct=len(core.memo) - size,
+                         pairs=core.lookups - lookups, memo_size=len(core.memo))
     return worst
 
 

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from rbfstudy.configvalues import number
+
 # Cap on supported total derivative order; term lists grow quickly past this.
 MAX_DERIVATIVE_ORDER = 6
 
@@ -320,7 +322,9 @@ class Kernel:
         family, dim = KernelFamily(d["family"]), d["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValueError(f"kernel dim must be an integer, got {dim!r}")
-        return cls(family, float(d["beta"]), dim, d.get("c"))
+        c = d.get("c")
+        return cls(family, number("kernel.beta", d["beta"]), dim,
+                   None if c is None else number("kernel.c", c))
 
 
 def _check_multi_index(alpha, dim: int) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from rbfstudy.bounds import (
     fit_report_dict,
     gorny_oracle_check,
 )
+from rbfstudy.configvalues import flag, number
 from rbfstudy.geometry import (
     CubeDomain,
     PointSet,
@@ -65,6 +66,19 @@ MAX_LATTICE_POINTS = 2**24
 # measure errors no finer than the double path does.
 DOUBLE_DIGITS = 15
 
+# The keys the config format defines in each object that from_dict reads
+# itself ("" is the top level); a misspelt key is refused, not ignored.
+CONFIG_KEYS = {
+    "": {"version", "kernel", "domain", "approximand", "refinement", "derivatives", "delta",
+         "probe_resolution", "fill_resolution", "tolerances", "seed", "check"},
+    "approximand": {"centers", "weights_seed", "weights_scale", "normalize", "poly"},
+    "approximand.centers": {"scheme", "count", "spacing", "seed", "points"},
+    "refinement": {"scheme", "spacings", "counts"},
+    "derivatives": {"orders", "l"},
+    "tolerances": {"cond_limit", "solver_dps"},
+    "check": {"enabled", "min_pass_fraction", "deriv_norm_scale"},
+}
+
 
 def alpha_tag(alpha) -> str:
     return "-".join(str(int(a)) for a in alpha)
@@ -73,6 +87,18 @@ def alpha_tag(alpha) -> str:
 def _field_defaults(cls) -> dict:
     """A dataclass's field defaults, so ``from_dict`` writes none of them again."""
     return {field.name: field.default for field in dataclasses.fields(cls)}
+
+
+def _config_object(name: str, d) -> dict:
+    """The config object ``d`` at ``name``, refused if it is not an object or
+    holds a key that ``CONFIG_KEYS`` does not define there."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name or 'the config'} must be an object, got {d!r}")
+    unknown = sorted(set(d) - CONFIG_KEYS[name])
+    if unknown:
+        prefix = f"{name}." if name else ""
+        raise ValueError(f"unknown config key {', '.join(prefix + k for k in unknown)}")
+    return d
 
 
 def _check_int(key: str, value, minimum: int, optional: bool = False) -> None:
@@ -129,21 +155,30 @@ class ApproximandSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ApproximandSpec":
         default = _field_defaults(cls)
-        centers = d.get("centers", {})
-        poly = d.get("poly", default["poly"])
+        d = _config_object("approximand", d)
+        centers = _config_object("approximand.centers", d.get("centers", {}))
+        spacing = centers.get("spacing", default["centers_spacing"])
+        if spacing is not None:
+            spacing = number("approximand.centers.spacing", spacing)
         points = centers.get("points", default["centers_points"])
+        if points is not None:
+            points = tuple(tuple(number("an entry of approximand.centers.points", v) for v in p)
+                           for p in points)
+        poly = d.get("poly", default["poly"])
+        if poly is not None:
+            poly = tuple(number("an entry of approximand.poly", v) for v in poly)
         return cls(
             centers_scheme=centers.get("scheme", default["centers_scheme"]),
             centers_count=centers.get("count", default["centers_count"]),
-            centers_spacing=centers.get("spacing", default["centers_spacing"]),
+            centers_spacing=spacing,
             centers_seed=centers.get("seed", default["centers_seed"]),
-            centers_points=tuple(tuple(float(v) for v in p) for p in points)
-            if points is not None
-            else None,
+            centers_points=points,
             weights_seed=d.get("weights_seed", default["weights_seed"]),
-            weights_scale=float(d.get("weights_scale", default["weights_scale"])),
-            normalize=bool(d.get("normalize", default["normalize"])),
-            poly=tuple(float(v) for v in poly) if poly is not None else None,
+            weights_scale=number(
+                "approximand.weights_scale", d.get("weights_scale", default["weights_scale"])
+            ),
+            normalize=flag("approximand.normalize", d.get("normalize", default["normalize"])),
+            poly=poly,
         )
 
 
@@ -182,7 +217,7 @@ class StudyConfig:
         if self.refinement_scheme == "grid":
             if not self.spacings:
                 raise ValueError("grid refinement needs spacings")
-            sp = tuple(float(v) for v in self.spacings)
+            sp = tuple(number("an entry of refinement.spacings", v) for v in self.spacings)
             if any(b >= a for a, b in zip(sp, sp[1:])):
                 raise ValueError(f"spacings must be strictly decreasing, got {sp}")
             object.__setattr__(self, "spacings", sp)
@@ -269,13 +304,14 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
+        d = _config_object("", d)
         if d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {d.get('version')!r}")
         default = _field_defaults(cls)
-        refinement = d["refinement"]
-        derivatives = d.get("derivatives", {})
-        tolerances = d.get("tolerances", {})
-        check = d.get("check", {})
+        refinement = _config_object("refinement", d["refinement"])
+        derivatives = _config_object("derivatives", d.get("derivatives", {}))
+        tolerances = _config_object("tolerances", d.get("tolerances", {}))
+        check = _config_object("check", d.get("check", {}))
         return cls(
             kernel=Kernel.from_dict(d["kernel"]),
             domain=CubeDomain.from_dict(d["domain"]),
@@ -285,17 +321,21 @@ class StudyConfig:
             counts=tuple(refinement.get("counts", ())) or None,
             deriv_orders=tuple(tuple(a) for a in derivatives.get("orders", [])),
             smoothness_order=derivatives.get("l", default["smoothness_order"]),
-            delta=float(d.get("delta", default["delta"])),
+            delta=number("delta", d.get("delta", default["delta"])),
             probe_resolution=d.get("probe_resolution", default["probe_resolution"]),
             fill_resolution=d.get("fill_resolution", default["fill_resolution"]),
-            cond_limit=float(tolerances.get("cond_limit", default["cond_limit"])),
+            cond_limit=number("tolerances.cond_limit",
+                              tolerances.get("cond_limit", default["cond_limit"])),
             solver_dps=tolerances.get("solver_dps", default["solver_dps"]),
             seed=d.get("seed", default["seed"]),
-            check_enabled=bool(check.get("enabled", default["check_enabled"])),
-            check_min_pass_fraction=float(
-                check.get("min_pass_fraction", default["check_min_pass_fraction"])
+            check_enabled=flag("check.enabled", check.get("enabled", default["check_enabled"])),
+            check_min_pass_fraction=number(
+                "check.min_pass_fraction",
+                check.get("min_pass_fraction", default["check_min_pass_fraction"]),
             ),
-            deriv_norm_scale=float(check.get("deriv_norm_scale", default["deriv_norm_scale"])),
+            deriv_norm_scale=number(
+                "check.deriv_norm_scale", check.get("deriv_norm_scale", default["deriv_norm_scale"])
+            ),
         )
 
     @classmethod
@@ -463,13 +503,13 @@ def _double_measure(config, f, probes, inner):
 
 
 def _mp_measure(config, f, probes, inner_mask):
-    """``_double_measure`` at ``solver_dps``: f in mp and the study's MpCore, one
-    kernel memo for f and every level, are built once per study. ``stats``
-    receives ``highprec.measure_level``'s."""
-    core = highprec.MpCore.at_dps(config.kernel, config.deriv_orders, config.solver_dps)
+    """``_double_measure`` at ``solver_dps``: the study's MpCore, built at that
+    dps with one kernel memo for f and every level, and f in mp are built once
+    per study; each level's mpf sups are cast to float. ``stats`` receives
+    ``highprec.measure_level``'s."""
+    core = highprec.MpCore(config.kernel, config.deriv_orders, config.solver_dps)
     f_mp = highprec.approximand_on_probes(
-        config.kernel, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask,
-        config.deriv_orders, config.solver_dps, core=core,
+        core, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask
     )
     inner = probes[inner_mask]
 
@@ -478,11 +518,11 @@ def _mp_measure(config, f, probes, inner_mask):
         cond = highprec.estimate_condition(system)
         if cond > config.cond_limit:
             raise SingularSystemError("saddle-point system too ill-conditioned", cond)
-        value_error, deriv_errors = highprec.measure_level(
+        sups = highprec.measure_level(
             config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes.points, probes,
-            inner, config.deriv_orders, config.solver_dps, f_mp, cond, stats=stats, core=core,
+            inner, config.deriv_orders, f_mp, cond, core, stats,
         )
-        return [value_error] + [deriv_errors[alpha] for alpha in config.deriv_orders], cond
+        return [float(w) for w in sups], cond
 
     return measure
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rbfstudy.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARTIAL, main
+from rbfstudy.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from rbfstudy.geometry import CubeDomain
 from rbfstudy.kernels import Kernel
 from rbfstudy.study import ApproximandSpec, StudyConfig
@@ -104,6 +104,30 @@ def test_fit_subcommand(tmp_path, capsys):
     assert report["model"] == "gaussian"
     assert report["n_samples"] == 4
     assert report["params"]["rate"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "keep, args, message",
+    [
+        (None, ["--model", "mq", "--alpha", "1-0"],
+         "no rows tagged '1-0' in .*; its tags are '0', '1'$"),
+        (5, ["--model", "mq"], r"the 2 rows tagged '0' .*: need >= 3"),
+    ],
+    ids=["unknown-tag", "too-few-rows"],
+)
+def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capsys, keep, args, message):
+    rows = GOLDEN / "pilot_mq" / "rows.csv"
+    if keep is not None:
+        # the header and the first two levels
+        lines = rows.read_text().splitlines(keepends=True)[:keep]
+        rows = tmp_path / "rows.csv"
+        rows.write_text("".join(lines))
+    code = main(["fit", "--rows", str(rows)] + args)
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert re.search(message, captured.err.strip())
 
 
 def test_gorny_subcommand(capsys):

@@ -18,7 +18,7 @@ import pytest
 from mpmath import mp, mpf
 
 from rbfstudy.geometry import CubeDomain, generate_points, uniform_grid
-from rbfstudy.highprec import MpCore, approximand_on_probes, lu_solve, measure_level, sup_errors
+from rbfstudy.highprec import MpCore, approximand_on_probes, lu_solve, measure_level
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
 from rbfstudy.polybasis import MonomialBasis
@@ -108,7 +108,7 @@ def test_core_matches_per_entry_formulas(make_kernel, dim):
     alphas = ALPHAS[dim]
     rng = np.random.default_rng(dim)
     with mp.workdps(DPS):
-        core = MpCore(kernel, alphas)
+        core = MpCore(kernel, alphas, DPS)
         basis = MonomialBasis.for_cpd_order(dim, kernel.cpd_order)
         centers, points = _mp_points(rng, 4, dim), _mp_points(rng, 5, dim)
         weights = [mpf(v) / 3 for v in rng.normal(size=4)]
@@ -215,10 +215,17 @@ class _Pilot:
         self.f = build_approximand(config)
         self.probes = uniform_grid(config.domain, config.probe_resolution)
         self.inner_mask = _inner_probe_mask(config.domain, self.probes, config.delta)
-        self.f_mp = approximand_on_probes(
-            config.kernel, self.f.centers.points, self.f.weights, self.f.poly_coeffs,
-            self.probes, self.inner_mask, config.deriv_orders, config.solver_dps)
+        self.core = self.new_core()
+        self.f_mp = self.f_on_probes(self.core)
         self._f_reference = None
+
+    def new_core(self):
+        return MpCore(self.config.kernel, self.config.deriv_orders, self.config.solver_dps)
+
+    def f_on_probes(self, core):
+        f = self.f
+        return approximand_on_probes(core, f.centers.points, f.weights, f.poly_coeffs,
+                                     self.probes, self.inner_mask)
 
     def f_reference(self):
         """f at every probe (and each order at inner probes) by the per-entry
@@ -239,12 +246,12 @@ class _Pilot:
         return generate_points(self.config.domain, "grid",
                                spacing=self.config.spacings[level]).points
 
-    def measure(self, level, stats=None):
+    def measure(self, level, core, stats=None, f_mp=None):
         config = self.config
         return measure_level(config.kernel, self.f.centers.points, self.f.weights,
                              self.f.poly_coeffs, self.nodes(level), self.probes,
                              self.probes[self.inner_mask], config.deriv_orders,
-                             config.solver_dps, self.f_mp, 1.0, stats=stats)
+                             self.f_mp if f_mp is None else f_mp, 1.0, core, stats)
 
 
 @pytest.fixture(scope="module", params=["pilot_mq", "pilot_gaussian"])
@@ -278,17 +285,11 @@ def _reference_sups(pilot, nodes):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_level_matches_plain_reference(pilot, level):
-    config, f = pilot.config, pilot.f
-    nodes = pilot.nodes(level)
-    with mp.workdps(config.solver_dps):
-        expected = _reference_sups(pilot, nodes)
-        got = sup_errors(config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes,
-                         config.deriv_orders, pilot.f_mp, 1.0)
+    with mp.workdps(pilot.config.solver_dps):
+        expected = _reference_sups(pilot, pilot.nodes(level))
+    got = pilot.measure(level, pilot.core)
     assert len(got) == len(expected)
     assert all(_same(a, b) for a, b in zip(got, expected))
-    value, derivs = pilot.measure(level)
-    assert value == float(expected[0])
-    assert derivs == {alpha: float(w) for alpha, w in zip(config.deriv_orders, expected[1:])}
 
 
 def _exact_diff(a, b):
@@ -371,7 +372,7 @@ def test_folded_core_matches_reference_under_reflections(make_kernel, dim, value
     kernel = make_kernel(dim)
     rng = np.random.default_rng(10 + dim)
     with mp.workdps(DPS):
-        core = MpCore(kernel, FOLD_ALPHAS[dim])
+        core = MpCore(kernel, FOLD_ALPHAS[dim], DPS)
         full = len(core.orders)
         base = rng.uniform(0.05, 0.9, (3, dim))
         base[1, 0] = 0.0
@@ -388,7 +389,7 @@ def test_folded_core_matches_reference_under_reflections(make_kernel, dim, value
         # the reflections of one difference share a memo entry
         assert len(core.memo) == len({tuple(row) for row in base} | {(0.0,) * dim})
         basis = MonomialBasis.for_cpd_order(dim, kernel.cpd_order)
-        expansion_core = MpCore(kernel, FOLD_ALPHAS[dim])
+        expansion_core = MpCore(kernel, FOLD_ALPHAS[dim], DPS)
         weights = [mpf(v) / 3 for v in rng.normal(size=len(diffs))]
         poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
         for count in counts:
@@ -406,7 +407,7 @@ def test_memoized_core_matches_reference_on_2d_grid(make_kernel):
     points = generate_points(CubeDomain.unit(2), "grid", spacing=0.5).points
     rng = np.random.default_rng(5)
     with mp.workdps(DPS):
-        core = MpCore(kernel, alphas)
+        core = MpCore(kernel, alphas, DPS)
         grid = _mp_points_of(points)
         # every difference and, later, its negation; many repeat
         diffs = [[a - b for a, b in zip(x, y)] for x in grid for y in grid]
@@ -435,9 +436,9 @@ def test_measure_level_leaves_no_shared_state(monkeypatch):
 
     monkeypatch.setattr(MpCore, "__init__", tracked)
     first, other, again = {}, {}, {}
-    result = pilot.measure(0, first)
-    pilot.measure(1, other)
-    assert pilot.measure(0, again) == result
+    result = pilot.measure(0, pilot.new_core(), first)
+    pilot.measure(1, pilot.new_core(), other)
+    assert pilot.measure(0, pilot.new_core(), again) == result
     assert first["distinct"] == again["distinct"] and first["pairs"] == again["pairs"]
     gc.collect()
     assert len(cores) == 3 and all(ref() is None for ref in cores)
@@ -446,7 +447,7 @@ def test_measure_level_leaves_no_shared_state(monkeypatch):
 def test_core_is_bound_to_its_precision():
     kernel = Kernel.multiquadric(1.0, 0.7, 1)
     with mp.workdps(DPS):
-        core = MpCore(kernel, ((1,),))
+        core = MpCore(kernel, ((1,),), DPS)
         diff = [mpf(0.25)]
         core.kernel(diff, 2)
         with mp.workdps(DPS + 30):
@@ -454,7 +455,7 @@ def test_core_is_bound_to_its_precision():
                 core.kernel(diff, 2)
             with pytest.raises(ValueError, match="bits"):
                 core.expansion([[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
-            fine = MpCore(kernel, ((1,),))
+            fine = MpCore(kernel, ((1,),), DPS + 30)
             got = fine.kernel(diff, 2)
             assert all(_same(v, _kernel_deriv_mp(kernel, a, diff))
                        for a, v in zip(fine.orders, got))
@@ -463,13 +464,13 @@ def test_core_is_bound_to_its_precision():
 def test_core_is_bound_to_round_to_nearest():
     kernel = Kernel.multiquadric(1.0, 0.7, 1)
     with mp.workdps(DPS):
-        core = MpCore(kernel, ((1,),))
+        core = MpCore(kernel, ((1,),), DPS)
         diff = [mpf(-0.25)]
         rounding = mp._prec_rounding[1]
         mp._prec_rounding[1] = "d"
         try:
             with pytest.raises(ValueError, match="round-to-nearest"):
-                MpCore(kernel, ((1,),))
+                MpCore(kernel, ((1,),), DPS)
             with pytest.raises(ValueError, match="rounding 'd'"):
                 core.kernel(diff, 2)
             with pytest.raises(ValueError, match="rounding 'd'"):
@@ -480,21 +481,33 @@ def test_core_is_bound_to_round_to_nearest():
         assert all(_same(v, _kernel_deriv_mp(kernel, a, diff)) for a, v in zip(core.orders, got))
 
 
-@pytest.mark.parametrize("mismatch", ["kernel", "orders", "precision"])
+def test_core_sets_the_precision_of_its_callers(mq_pilot):
+    """f in mp and a level's sups come out alike at any working precision, which
+    each call leaves as it found it."""
+    pilot = mq_pilot
+
+    def run(dps):
+        with mp.workdps(dps):
+            prec = mp.prec
+            core = pilot.new_core()
+            f_mp = pilot.f_on_probes(core)
+            assert mp.prec == prec
+            sups = pilot.measure(0, core, f_mp=f_mp)
+            assert mp.prec == prec
+        return [v for x, values in f_mp for v in x + values] + sups
+
+    expected = run(pilot.config.solver_dps)
+    for dps in (15, 80):
+        got = run(dps)
+        assert len(got) == len(expected)
+        assert all(_same(a, b) for a, b in zip(got, expected)), dps
+
+
+@pytest.mark.parametrize("mismatch", ["kernel", "orders"])
 def test_shared_core_must_match_its_callers(mq_pilot, mismatch):
-    config, f = mq_pilot.config, mq_pilot.f
-    kernel, alphas, dps = config.kernel, config.deriv_orders, config.solver_dps
-    core = MpCore.at_dps(Kernel.gaussian(1.0, 1) if mismatch == "kernel" else kernel,
-                         ((2,),) if mismatch == "orders" else alphas,
-                         dps + 10 if mismatch == "precision" else dps)
-    expansion = (kernel, f.centers.points, f.weights, f.poly_coeffs)
-    nodes = mq_pilot.nodes(0)
+    config = mq_pilot.config
+    core = MpCore(Kernel.gaussian(1.0, 1) if mismatch == "kernel" else config.kernel,
+                  ((2,),) if mismatch == "orders" else config.deriv_orders, config.solver_dps)
     with pytest.raises(ValueError, match="MpCore"):
-        approximand_on_probes(*expansion, mq_pilot.probes, mq_pilot.inner_mask, alphas, dps,
-                              core=core)
-    with pytest.raises(ValueError, match="MpCore"):
-        measure_level(*expansion, nodes, mq_pilot.probes, mq_pilot.probes[mq_pilot.inner_mask],
-                      alphas, dps, mq_pilot.f_mp, 1.0, core=core)
-    with mp.workdps(dps), pytest.raises(ValueError, match="MpCore"):
-        sup_errors(*expansion, nodes, alphas, mq_pilot.f_mp, 1.0, core=core)
+        mq_pilot.measure(0, core)
     assert not core.memo and core.lookups == 0

@@ -120,6 +120,52 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path, key, typo",
+        [
+            ((), "probe_resolution", "probe_resoluton"),
+            (("approximand",), "weights_seed", "weight_seed"),
+            (("approximand", "centers"), "points", "point"),
+            (("refinement",), "spacings", "spacing"),
+            (("derivatives",), "orders", "order"),
+            (("tolerances",), "solver_dps", "solver_dsp"),
+            (("check",), "enabled", "enable"),
+        ],
+    )
+    def test_unknown_config_keys_refused(self, path, key, typo):
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        parent = doc
+        for name in path:
+            parent = parent[name]
+        parent[typo] = parent.pop(key)
+        with pytest.raises(ValueError, match=f"unknown config key {'.'.join(path + (typo,))}$"):
+            StudyConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("check", "enabled"), "false", "check.enabled must be true or false"),
+            (("approximand", "normalize"), "false", "approximand.normalize must be true or false"),
+            (("approximand", "weights_scale"), True, "approximand.weights_scale must be a number"),
+            (("delta",), "0.1", "delta must be a number"),
+            (("refinement", "spacings"), [True, 0.5], "entry of refinement.spacings must be a"),
+            (("approximand", "poly"), [True], "entry of approximand.poly must be a number"),
+            (("approximand", "centers", "points"), [["0.5"]],
+             "entry of approximand.centers.points must be a number"),
+            (("kernel", "beta"), True, "kernel.beta must be a number"),
+            (("domain", "side"), "1", "domain.side must be a number"),
+            (("kernel", "c"), "1", "kernel.c must be a number"),
+        ],
+    )
+    def test_config_booleans_and_numbers_checked_not_coerced(self, path, value, match):
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            StudyConfig.from_dict(doc)
+
     def test_minimal_config_takes_the_dataclass_defaults(self):
         kernel, domain = Kernel.gaussian(40.0, 1), CubeDomain.unit(1)
         doc = {"kernel": kernel.to_dict(), "domain": domain.to_dict(),
