@@ -2,8 +2,8 @@
 inequality campaign.
 
 Exit codes: 0 all checks pass, 2 some refinement levels failed to solve
-or a bad argument (as argparse uses it; ``fit`` also when its rows file
-has no rows of the tag or too few usable ones for the model), 3 the
+or a bad argument (as argparse uses it; also a config ``run`` refuses or a
+rows file ``fit`` cannot fit, each reported in one line), 3 the
 bound-shape check (or the Gorny campaign) failed.
 """
 
@@ -34,7 +34,11 @@ EXIT_CHECK_FAILED = 3
 
 
 def _cmd_run(args) -> int:
-    config = StudyConfig.load_json(args.config)
+    try:
+        config = StudyConfig.load_json(args.config)
+    except ValueError as exc:
+        print(f"rbfstudy run: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     result = run_study(config)
     report = None
     if config.check_enabled and config.deriv_orders:

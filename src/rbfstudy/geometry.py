@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from rbfstudy.configvalues import number
+from rbfstudy.configvalues import json_object, list_of, number
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -51,8 +51,9 @@ class CubeDomain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CubeDomain":
-        lower = [number("an entry of domain.lower", v) for v in d["lower"]]
-        return cls(len(lower), tuple(lower), number("domain.side", d["side"]))
+        d = json_object("domain", d, ("lower", "side"))
+        lower = list_of(number)("domain.lower", d["lower"])
+        return cls(len(lower), lower, number("domain.side", d["side"]))
 
 
 @dataclass(frozen=True)

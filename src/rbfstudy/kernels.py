@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rbfstudy.configvalues import number
+from rbfstudy.configvalues import check, choice, integer, key, number, read, write
 
 # Cap on supported total derivative order; term lists grow quickly past this.
 MAX_DERIVATIVE_ORDER = 6
@@ -102,17 +102,16 @@ class Kernel:
     dim : int
         Spatial dimension of the argument, >= 1.
     c : float or None
-        Shape parameter, > 0. Multiquadric only; unused for the Gaussian.
+        Shape parameter, > 0. Multiquadric only; None for the Gaussian.
     """
 
-    family: KernelFamily
-    beta: float
-    dim: int
-    c: float | None = None
+    family: KernelFamily = key("family", choice(*KernelFamily))
+    beta: float = key("beta", number)
+    dim: int = key("dim", integer(1))
+    c: float | None = key("c", number, None)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check(self, "kernel")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
         if self.family is KernelFamily.MULTIQUADRIC:
@@ -121,12 +120,11 @@ class Kernel:
                     f"multiquadric beta must not be a non-negative even integer, got {self.beta}"
                 )
             if self.c is None or not (self.c > 0.0):
-                raise ValueError(f"multiquadric requires c > 0, got {self.c}")
-        elif self.family is KernelFamily.GAUSSIAN:
-            if not (self.beta > 0.0):
-                raise ValueError(f"gaussian requires beta > 0, got {self.beta}")
-        else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+                raise ValueError(f"a multiquadric kernel needs kernel.c > 0, got {self.c}")
+        elif not (self.beta > 0.0):
+            raise ValueError(f"gaussian requires beta > 0, got {self.beta}")
+        elif self.c is not None:
+            raise ValueError(f"a gaussian kernel takes no kernel.c, got {self.c}")
 
     @classmethod
     def multiquadric(cls, beta: float, c: float, dim: int) -> "Kernel":
@@ -311,20 +309,11 @@ class Kernel:
             raise ValueError("kernel argument must be finite")
         return x
 
-    def to_dict(self) -> dict:
-        d = {"family": self.family.value, "beta": self.beta, "dim": self.dim}
-        if self.family is KernelFamily.MULTIQUADRIC:
-            d["c"] = self.c
-        return d
+    to_dict = write
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        family, dim = KernelFamily(d["family"]), d["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError(f"kernel dim must be an integer, got {dim!r}")
-        c = d.get("c")
-        return cls(family, number("kernel.beta", d["beta"]), dim,
-                   None if c is None else number("kernel.c", c))
+        return read(cls, d, "kernel")
 
 
 def _check_multi_index(alpha, dim: int) -> tuple[int, ...]:

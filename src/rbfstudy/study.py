@@ -33,7 +33,8 @@ from rbfstudy.bounds import (
     fit_report_dict,
     gorny_oracle_check,
 )
-from rbfstudy.configvalues import flag, number
+from rbfstudy.configvalues import (check, choice, flag, integer, key, list_of, nested, number,
+                                   read, write)
 from rbfstudy.geometry import (
     CubeDomain,
     PointSet,
@@ -66,48 +67,9 @@ MAX_LATTICE_POINTS = 2**24
 # measure errors no finer than the double path does.
 DOUBLE_DIGITS = 15
 
-# The keys the config format defines in each object that from_dict reads
-# itself ("" is the top level); a misspelt key is refused, not ignored.
-CONFIG_KEYS = {
-    "": {"version", "kernel", "domain", "approximand", "refinement", "derivatives", "delta",
-         "probe_resolution", "fill_resolution", "tolerances", "seed", "check"},
-    "approximand": {"centers", "weights_seed", "weights_scale", "normalize", "poly"},
-    "approximand.centers": {"scheme", "count", "spacing", "seed", "points"},
-    "refinement": {"scheme", "spacings", "counts"},
-    "derivatives": {"orders", "l"},
-    "tolerances": {"cond_limit", "solver_dps"},
-    "check": {"enabled", "min_pass_fraction", "deriv_norm_scale"},
-}
-
 
 def alpha_tag(alpha) -> str:
     return "-".join(str(int(a)) for a in alpha)
-
-
-def _field_defaults(cls) -> dict:
-    """A dataclass's field defaults, so ``from_dict`` writes none of them again."""
-    return {field.name: field.default for field in dataclasses.fields(cls)}
-
-
-def _config_object(name: str, d) -> dict:
-    """The config object ``d`` at ``name``, refused if it is not an object or
-    holds a key that ``CONFIG_KEYS`` does not define there."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{name or 'the config'} must be an object, got {d!r}")
-    unknown = sorted(set(d) - CONFIG_KEYS[name])
-    if unknown:
-        prefix = f"{name}." if name else ""
-        raise ValueError(f"unknown config key {', '.join(prefix + k for k in unknown)}")
-    return d
-
-
-def _check_int(key: str, value, minimum: int, optional: bool = False) -> None:
-    """Refuse a config integer that is not an int, is a bool, or is below minimum."""
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        null = "null or " if optional else ""
-        raise ValueError(f"{key} must be {null}an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,74 +80,35 @@ class ApproximandSpec:
     the ``centers_points`` list directly.
     """
 
-    centers_scheme: str = "random"
-    centers_count: int | None = 5
-    centers_spacing: float | None = None
-    centers_seed: int | None = 101
-    centers_points: tuple[tuple[float, ...], ...] | None = None
-    weights_seed: int = 11
-    weights_scale: float = 1.0
-    normalize: bool = True
-    poly: tuple[float, ...] | None = None
+    centers_scheme: str = key("centers.scheme", choice("random", "grid", "halton", "explicit"),
+                              "random")
+    centers_count: int | None = key("centers.count", integer(1), 5, null=True)
+    centers_spacing: float | None = key("centers.spacing", number, None, null=True)
+    centers_seed: int | None = key("centers.seed", integer(0), 101, null=True)
+    centers_points: tuple[tuple[float, ...], ...] | None = key(
+        "centers.points", list_of(list_of(number)), None, null=True)
+    weights_seed: int = key("weights_seed", integer(0), 11)
+    weights_scale: float = key("weights_scale", number, 1.0)
+    normalize: bool = key("normalize", flag, True)
+    poly: tuple[float, ...] | None = key("poly", list_of(number), None, null=True)
 
     def __post_init__(self):
-        _check_int("approximand.centers.count", self.centers_count, 1, optional=True)
+        check(self, "approximand")
         # random centers without a seed would differ from run to run
-        _check_int("approximand.centers.seed", self.centers_seed, 0,
-                   optional=self.centers_scheme != "random")
-        _check_int("approximand.weights_seed", self.weights_seed, 0)
+        if self.centers_scheme == "random" and self.centers_seed is None:
+            raise ValueError("approximand.centers.seed must be an integer for random centers")
 
-    def to_dict(self) -> dict:
-        return {
-            "centers": {
-                "scheme": self.centers_scheme,
-                "count": self.centers_count,
-                "spacing": self.centers_spacing,
-                "seed": self.centers_seed,
-                "points": [list(p) for p in self.centers_points]
-                if self.centers_points is not None
-                else None,
-            },
-            "weights_seed": self.weights_seed,
-            "weights_scale": self.weights_scale,
-            "normalize": self.normalize,
-            "poly": list(self.poly) if self.poly is not None else None,
-        }
+    to_dict = write
 
     @classmethod
     def from_dict(cls, d: dict) -> "ApproximandSpec":
-        default = _field_defaults(cls)
-        d = _config_object("approximand", d)
-        centers = _config_object("approximand.centers", d.get("centers", {}))
-        spacing = centers.get("spacing", default["centers_spacing"])
-        if spacing is not None:
-            spacing = number("approximand.centers.spacing", spacing)
-        points = centers.get("points", default["centers_points"])
-        if points is not None:
-            points = tuple(tuple(number("an entry of approximand.centers.points", v) for v in p)
-                           for p in points)
-        poly = d.get("poly", default["poly"])
-        if poly is not None:
-            poly = tuple(number("an entry of approximand.poly", v) for v in poly)
-        return cls(
-            centers_scheme=centers.get("scheme", default["centers_scheme"]),
-            centers_count=centers.get("count", default["centers_count"]),
-            centers_spacing=spacing,
-            centers_seed=centers.get("seed", default["centers_seed"]),
-            centers_points=points,
-            weights_seed=d.get("weights_seed", default["weights_seed"]),
-            weights_scale=number(
-                "approximand.weights_scale", d.get("weights_scale", default["weights_scale"])
-            ),
-            normalize=flag("approximand.normalize", d.get("normalize", default["normalize"])),
-            poly=poly,
-        )
+        return read(cls, d, "approximand")
 
 
-def _check_lattice_size(key: str, points: int, dim: int) -> None:
+def _check_lattice_size(name: str, points: int, dim: int) -> None:
     if points > MAX_LATTICE_POINTS:
         raise ValueError(
-            f"{key} asks for a lattice of {points:,} points in {dim}D, which needs "
+            f"{name} asks for a lattice of {points:,} points in {dim}D, which needs "
             f"{points * dim * 8:,} bytes for its coordinates alone; the limit is "
             f"{MAX_LATTICE_POINTS:,} points"
         )
@@ -195,51 +118,50 @@ def _check_lattice_size(key: str, points: int, dim: int) -> None:
 class StudyConfig:
     """Full description of one refinement study."""
 
-    kernel: Kernel
-    domain: CubeDomain
-    approximand: ApproximandSpec = ApproximandSpec()
-    refinement_scheme: str = "grid"
-    spacings: tuple[float, ...] | None = None
-    counts: tuple[int, ...] | None = None
-    deriv_orders: tuple[tuple[int, ...], ...] = ()
-    smoothness_order: int = 2
-    delta: float = 0.1
-    probe_resolution: int = 201
-    fill_resolution: int | None = None
-    cond_limit: float = DEFAULT_COND_LIMIT
-    solver_dps: int | None = None
-    seed: int = 7
-    check_enabled: bool = True
-    check_min_pass_fraction: float = 0.8
-    deriv_norm_scale: float = 1.0
+    kernel: Kernel = key("kernel", nested(Kernel))
+    domain: CubeDomain = key("domain", nested(CubeDomain))
+    approximand: ApproximandSpec = key("approximand", nested(ApproximandSpec), ApproximandSpec())
+    refinement_scheme: str = key("refinement.scheme", choice("grid", "halton", "random"), "grid")
+    spacings: tuple[float, ...] | None = key("refinement.spacings", list_of(number), None)
+    counts: tuple[int, ...] | None = key("refinement.counts", list_of(integer(1)), None)
+    deriv_orders: tuple[tuple[int, ...], ...] = key(
+        "derivatives.orders", list_of(list_of(integer(0))), ())
+    smoothness_order: int = key("derivatives.l", integer(1), 2)
+    delta: float = key("delta", number, 0.1)
+    probe_resolution: int = key("probe_resolution", integer(2), 201)
+    fill_resolution: int | None = key("fill_resolution", integer(1), None, null=True)
+    cond_limit: float = key("tolerances.cond_limit", number, DEFAULT_COND_LIMIT)
+    solver_dps: int | None = key("tolerances.solver_dps", integer(DOUBLE_DIGITS + 1), None,
+                                   null=True)
+    seed: int = key("seed", integer(0), 7)
+    check_enabled: bool = key("check.enabled", flag, True)
+    check_min_pass_fraction: float = key("check.min_pass_fraction", number, 0.8)
+    deriv_norm_scale: float = key("check.deriv_norm_scale", number, 1.0)
+    _version: int = key("version", choice(CONFIG_VERSION), CONFIG_VERSION, init=False)
 
     def __post_init__(self):
-        if self.refinement_scheme == "grid":
-            if not self.spacings:
-                raise ValueError("grid refinement needs spacings")
-            sp = tuple(number("an entry of refinement.spacings", v) for v in self.spacings)
-            if any(b >= a for a, b in zip(sp, sp[1:])):
-                raise ValueError(f"spacings must be strictly decreasing, got {sp}")
-            object.__setattr__(self, "spacings", sp)
-        elif self.refinement_scheme in ("halton", "random"):
-            if not self.counts:
-                raise ValueError(f"{self.refinement_scheme} refinement needs counts")
-            ct = tuple(self.counts)
-            for count in ct:
-                _check_int("an entry of refinement.counts", count, 1)
-            if any(b <= a for a, b in zip(ct, ct[1:])):
-                raise ValueError(f"counts must be strictly increasing, got {ct}")
-            object.__setattr__(self, "counts", ct)
-        else:
-            raise ValueError(f"unknown refinement scheme {self.refinement_scheme!r}")
-        orders = tuple(tuple(alpha) for alpha in self.deriv_orders)
-        object.__setattr__(self, "deriv_orders", orders)
-        _check_int("derivatives.l", self.smoothness_order, 1)
-        for alpha in orders:
-            for a in alpha:
-                _check_int("an entry of derivatives.orders", a, 0)
-            if len(alpha) != self.kernel.dim:
-                raise ValueError(f"multi-index {alpha} does not match dim {self.kernel.dim}")
+        check(self)
+        dim = self.kernel.dim
+        if self.domain.dim != dim:
+            raise ValueError(f"domain.lower has {self.domain.dim} coordinates, kernel.dim {dim}")
+        if any(len(p) != dim for p in self.approximand.centers_points or ()):
+            raise ValueError(f"approximand.centers.points must hold points of kernel.dim {dim} "
+                             f"coordinates, got {self.approximand.centers_points}")
+        grid = self.refinement_scheme == "grid"
+        used, unused = ("spacings", "counts") if grid else ("counts", "spacings")
+        sizes = getattr(self, used)
+        if not sizes:
+            raise ValueError(f"the {self.refinement_scheme} refinement scheme needs "
+                             f"refinement.{used}")
+        if getattr(self, unused) is not None:
+            raise ValueError(f"refinement.{unused} is not used by the "
+                             f"{self.refinement_scheme} refinement scheme")
+        if any(b >= a if grid else b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"refinement.{used} must be strictly "
+                             f"{'decreasing' if grid else 'increasing'}, got {sizes}")
+        for alpha in self.deriv_orders:
+            if len(alpha) != dim:
+                raise ValueError(f"multi-index {alpha} does not match dim {dim}")
             k = sum(alpha)
             if not (0 < k < self.smoothness_order):
                 raise ValueError(
@@ -250,22 +172,12 @@ class StudyConfig:
                 f"delta must lie in (0, side/2) so probes keep a ball inside the domain, "
                 f"got {self.delta}"
             )
-        _check_int("probe_resolution", self.probe_resolution, 2)
-        _check_int("fill_resolution", self.fill_resolution, 1, optional=True)
-        _check_int("tolerances.solver_dps", self.solver_dps, 1, optional=True)
-        _check_int("seed", self.seed, 0)
         if not self.cond_limit > 0.0:
             raise ValueError(f"tolerances.cond_limit must be > 0, got {self.cond_limit}")
         if not 0.0 <= self.check_min_pass_fraction <= 1.0:
             raise ValueError(
                 f"check.min_pass_fraction must lie in [0, 1], got {self.check_min_pass_fraction}"
             )
-        if self.solver_dps is not None and self.solver_dps <= DOUBLE_DIGITS:
-            raise ValueError(
-                f"tolerances.solver_dps must exceed double precision's {DOUBLE_DIGITS} "
-                f"digits, got {self.solver_dps}"
-            )
-        dim = self.kernel.dim
         fill_res = self.fill_resolution or default_fill_resolution(dim)
         _check_lattice_size("probe_resolution", self.probe_resolution**dim, dim)
         _check_lattice_size("fill_resolution", (fill_res + 1) ** dim + fill_res**dim, dim)
@@ -274,69 +186,11 @@ class StudyConfig:
     def levels(self) -> int:
         return len(self.spacings) if self.refinement_scheme == "grid" else len(self.counts)
 
-    def to_dict(self) -> dict:
-        refinement: dict = {"scheme": self.refinement_scheme}
-        if self.refinement_scheme == "grid":
-            refinement["spacings"] = list(self.spacings)
-        else:
-            refinement["counts"] = list(self.counts)
-        return {
-            "version": CONFIG_VERSION,
-            "kernel": self.kernel.to_dict(),
-            "domain": self.domain.to_dict(),
-            "approximand": self.approximand.to_dict(),
-            "refinement": refinement,
-            "derivatives": {
-                "orders": [list(a) for a in self.deriv_orders],
-                "l": self.smoothness_order,
-            },
-            "delta": self.delta,
-            "probe_resolution": self.probe_resolution,
-            "fill_resolution": self.fill_resolution,
-            "tolerances": {"cond_limit": self.cond_limit, "solver_dps": self.solver_dps},
-            "seed": self.seed,
-            "check": {
-                "enabled": self.check_enabled,
-                "min_pass_fraction": self.check_min_pass_fraction,
-                "deriv_norm_scale": self.deriv_norm_scale,
-            },
-        }
+    to_dict = write
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
-        d = _config_object("", d)
-        if d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise ValueError(f"unsupported config version {d.get('version')!r}")
-        default = _field_defaults(cls)
-        refinement = _config_object("refinement", d["refinement"])
-        derivatives = _config_object("derivatives", d.get("derivatives", {}))
-        tolerances = _config_object("tolerances", d.get("tolerances", {}))
-        check = _config_object("check", d.get("check", {}))
-        return cls(
-            kernel=Kernel.from_dict(d["kernel"]),
-            domain=CubeDomain.from_dict(d["domain"]),
-            approximand=ApproximandSpec.from_dict(d.get("approximand", {})),
-            refinement_scheme=refinement["scheme"],
-            spacings=tuple(refinement.get("spacings", ())) or None,
-            counts=tuple(refinement.get("counts", ())) or None,
-            deriv_orders=tuple(tuple(a) for a in derivatives.get("orders", [])),
-            smoothness_order=derivatives.get("l", default["smoothness_order"]),
-            delta=number("delta", d.get("delta", default["delta"])),
-            probe_resolution=d.get("probe_resolution", default["probe_resolution"]),
-            fill_resolution=d.get("fill_resolution", default["fill_resolution"]),
-            cond_limit=number("tolerances.cond_limit",
-                              tolerances.get("cond_limit", default["cond_limit"])),
-            solver_dps=tolerances.get("solver_dps", default["solver_dps"]),
-            seed=d.get("seed", default["seed"]),
-            check_enabled=flag("check.enabled", check.get("enabled", default["check_enabled"])),
-            check_min_pass_fraction=number(
-                "check.min_pass_fraction",
-                check.get("min_pass_fraction", default["check_min_pass_fraction"]),
-            ),
-            deriv_norm_scale=number(
-                "check.deriv_norm_scale", check.get("deriv_norm_scale", default["deriv_norm_scale"])
-            ),
-        )
+        return read(cls, d)
 
     @classmethod
     def load_json(cls, path) -> "StudyConfig":

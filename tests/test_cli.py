@@ -130,6 +130,34 @@ def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capsys, keep, args
     assert re.search(message, captured.err.strip())
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["tolerances"].update(solver_dsp=doc["tolerances"].pop("solver_dps")),
+         "unknown config key tolerances.solver_dsp$"),
+        (lambda doc: doc["kernel"].pop("beta"), "missing config key kernel.beta$"),
+        (None, "Expecting"),
+    ],
+    ids=["unknown-key", "missing-key", "not-json"],
+)
+def test_run_refuses_a_bad_config_with_a_message(tmp_path, capsys, edit, message):
+    config_path = tmp_path / "config.json"
+    if edit is None:
+        config_path.write_text("{\n")
+    else:
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        edit(doc)
+        config_path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("rbfstudy run: ")
+    assert re.search(message, captured.err.strip())
+    assert not (tmp_path / "out").exists()
+
+
 def test_gorny_subcommand(capsys):
     code = main(["gorny", "--trials", "100", "--seed", "3"])
     assert code == EXIT_OK

@@ -539,6 +539,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             Interpolant.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "kernel, match",
+        [
+            ({"family": "multiquadric", "beta": 1.0, "c": 0.5, "C": 2.0, "dim": 1},
+             "unknown config key kernel.C$"),
+            ({"family": "gaussian", "beta": 1.0, "c": 3.0, "dim": 1}, "kernel.c"),
+        ],
+        ids=["unknown-key", "gaussian-c"],
+    )
+    def test_kernel_keys_in_file_checked(self, kernel, match):
+        doc = Interpolant(Kernel.gaussian(1.0, 1), PointSet.from_array([[0.0]]), [1.0], []).to_json_dict()
+        doc["kernel"] = kernel
+        with pytest.raises(ValueError, match=match):
+            Interpolant.from_json_dict(doc)
+
     def test_node_dimension_mismatch_in_file_rejected(self):
         doc = Interpolant(Kernel.gaussian(1.0, 1), PointSet.from_array([[0.0]]), [1.0], []).to_json_dict()
         doc["kernel"] = Kernel.gaussian(1.0, 2).to_dict()

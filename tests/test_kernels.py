@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -54,6 +55,12 @@ class TestConstruction:
     def test_dim_must_be_positive(self):
         with pytest.raises(ValueError):
             Kernel.gaussian(1.0, 0)
+
+    def test_numpy_scalars_accepted_and_stored_as_python_numbers(self):
+        kernel = Kernel.multiquadric(np.float64(1.0), np.float32(0.5), np.int64(2))
+        assert kernel == Kernel.multiquadric(1.0, 0.5, 2)
+        assert json.loads(json.dumps(kernel.to_dict())) == kernel.to_dict()
+        assert Kernel.gaussian(2.0, np.int64(2)).dim == 2
 
     def test_dict_round_trip(self):
         for kernel in sample_kernels():

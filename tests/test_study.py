@@ -102,7 +102,7 @@ class TestConfig:
             (("derivatives", "orders"), [[1.9]], "entry of derivatives.orders must be an integer"),
             (("derivatives", "l"), 2.9, "derivatives.l must be an integer"),
             (("seed",), 7.5, "seed must be an integer"),
-            (("kernel", "dim"), 1.9, "kernel dim must be an integer"),
+            (("kernel", "dim"), 1.9, "kernel.dim must be an integer"),
             (("approximand", "weights_seed"), 11.5, "weights_seed must be an integer"),
             (("approximand", "centers", "seed"), None, "centers.seed must be an integer"),
             (("refinement",), {"scheme": "halton", "counts": [10, 20.5]},
@@ -130,6 +130,8 @@ class TestConfig:
             (("derivatives",), "orders", "order"),
             (("tolerances",), "solver_dps", "solver_dsp"),
             (("check",), "enabled", "enable"),
+            (("kernel",), "c", "C"),
+            (("domain",), "side", "sides"),
         ],
     )
     def test_unknown_config_keys_refused(self, path, key, typo):
@@ -165,6 +167,63 @@ class TestConfig:
         parent[path[-1]] = value
         with pytest.raises(ValueError, match=match):
             StudyConfig.from_dict(doc)
+
+    def test_gaussian_kernel_c_refused(self):
+        doc = json.loads((FIXTURES / "pilot_gaussian.json").read_text())
+        doc["kernel"]["c"] = 3.0
+        with pytest.raises(ValueError, match="kernel.c"):
+            StudyConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("kernel", "dim"), 2, "kernel.dim"),
+            (("approximand", "centers", "points"), [[0.1, 0.2], [0.9, 0.3]],
+             "approximand.centers.points"),
+            (("approximand", "centers", "scheme"), "bogus", "approximand.centers.scheme"),
+            (("refinement", "counts"), [10, 20], "refinement.counts"),
+            (("refinement",), {"scheme": "halton", "counts": [10, 20], "spacings": [0.1]},
+             "refinement.spacings"),
+            (("refinement",), {"scheme": "random", "counts": [10, 20], "spacings": [0.1]},
+             "refinement.spacings"),
+            (("version",), True, "version"),
+            (("derivatives", "orders"), 5, "derivatives.orders"),
+            (("kernel", "beta"), None, "kernel.beta"),
+            (("refinement",), None, "needs refinement.spacings"),
+        ],
+        ids=["dim-vs-domain", "centers-dim", "centers-scheme", "counts-with-grid",
+             "spacings-with-halton", "spacings-with-random", "version-bool", "orders-not-list",
+             "missing-beta", "missing-refinement"],
+    )
+    def test_config_refused_at_load_not_mid_run(self, path, value, match):
+        # None deletes the key
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        doc["tolerances"]["solver_dps"] = None
+        doc["derivatives"]["orders"] = []
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            StudyConfig.from_dict(doc)
+
+    def test_save_json_writes_the_format(self, tmp_path):
+        for name in ("pilot_mq.json", "pilot_gaussian.json"):
+            path = tmp_path / name
+            StudyConfig.load_json(FIXTURES / name).save_json(path)
+            assert path.read_bytes() == (FIXTURES / name).read_bytes()
+
+        def key_paths(d, prefix=""):
+            return {p for k, v in d.items() for p in (
+                key_paths(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k})}
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("### Study config (version 1)", 1)[1]
+        example = json.loads(example.split("```json", 1)[1].split("```", 1)[0])
+        assert key_paths(StudyConfig.from_dict(example).to_dict()) == key_paths(example)
 
     def test_minimal_config_takes_the_dataclass_defaults(self):
         kernel, domain = Kernel.gaussian(40.0, 1), CubeDomain.unit(1)
