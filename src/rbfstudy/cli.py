@@ -2,9 +2,9 @@
 inequality campaign.
 
 Exit codes: 0 all checks pass, 2 some refinement levels failed to solve
-or a bad argument (as argparse uses it; also a config ``run`` refuses or a
-rows file ``fit`` cannot fit, each reported in one line), 3 the
-bound-shape check (or the Gorny campaign) failed.
+or a bad argument (as argparse uses it; also a config ``run`` cannot read
+or refuses, or a rows file ``fit`` cannot read or fit, each reported in
+one line), 3 the bound-shape check (or the Gorny campaign) failed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ EXIT_CHECK_FAILED = 3
 def _cmd_run(args) -> int:
     try:
         config = StudyConfig.load_json(args.config)
+    except OSError as exc:
+        print(f"rbfstudy run: cannot read {args.config}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"rbfstudy run: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -85,7 +88,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = read_rows_csv(args.rows)
+    try:
+        rows = read_rows_csv(args.rows)
+    except OSError as exc:
+        print(f"rbfstudy fit: cannot read {args.rows}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     tags = list(dict.fromkeys(row["alpha"] for row in rows))
     if args.alpha not in tags:
         print(f"rbfstudy fit: no rows tagged {args.alpha!r} in {args.rows}; its tags are "

@@ -1,23 +1,36 @@
 """Cube domains, point sets, fill distance, and node generators.
 
 The fill distance (the largest hole a domain point can sit in, measured to
-the nearest node) is estimated on a dense deterministic probe lattice; the
-subcube-coverage check samples the quantified coverage condition on a
-finite lattice of subcube positions. Node generators produce the grids,
-Halton sequences, and seeded random clouds used by refinement studies.
+the nearest node) is estimated on a dense deterministic probe lattice,
+searched exactly by a tree of lattice tiles, each of which keeps only the
+nodes that can be nearest to one of its probes; the subcube-coverage check
+samples the quantified coverage condition on a finite lattice of subcube
+positions. Node generators produce the grids, Halton sequences, and seeded
+random clouds used by refinement studies.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from rbfstudy.configvalues import json_object, list_of, number
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+# Slack, as a share of the extent of the probes and nodes together, that the
+# fill-distance search adds to each pruning and candidate test. It dwarfs the
+# rounding of the few float operations behind a test, so a tile or a node is
+# at worst kept needlessly, never dropped wrongly.
+_SEARCH_SLACK = 1e-9
+
+# The search starts from the finest tiles whose children, each against every
+# node, fit in this many pairs: a small lattice or node set is then searched
+# in one step, and a large one skips the coarse levels that prune nothing.
+_FIRST_LEVEL_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -115,17 +128,12 @@ def uniform_grid(domain: CubeDomain, points_per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _probe_lattice(domain: CubeDomain, resolution: int) -> np.ndarray:
-    """Probe points for the fill-distance scan: cell vertices plus centers."""
-    lo = np.asarray(domain.lower)
+def _probe_axes(domain: CubeDomain, resolution: int) -> tuple[list, list]:
+    """Per-axis coordinates of the two probe lattices: cell vertices, cell centers."""
     step = domain.side / resolution
-    vertices_1d = [lo[a] + step * np.arange(resolution + 1) for a in range(domain.dim)]
-    centers_1d = [lo[a] + step * (np.arange(resolution) + 0.5) for a in range(domain.dim)]
-    vertex_mesh = np.meshgrid(*vertices_1d, indexing="ij")
-    center_mesh = np.meshgrid(*centers_1d, indexing="ij")
-    vertices = np.stack([m.ravel() for m in vertex_mesh], axis=-1)
-    centers = np.stack([m.ravel() for m in center_mesh], axis=-1)
-    return np.vstack([vertices, centers])
+    vertices = [lo + step * np.arange(resolution + 1) for lo in domain.lower]
+    centers = [lo + step * (np.arange(resolution) + 0.5) for lo in domain.lower]
+    return vertices, centers
 
 
 def default_fill_resolution(dim: int) -> int:
@@ -139,7 +147,9 @@ def fill_distance(domain: CubeDomain, nodes: PointSet, resolution: int | None = 
     The true supremum over the whole cube is sampled on a lattice of cell
     vertices and centers with ``resolution`` cells per axis, so the result
     is a lower bound that converges to the supremum as the resolution
-    grows. Deterministic for a fixed resolution.
+    grows. Deterministic for a fixed resolution. The lattice is searched
+    exactly (``_lattice_fill2``): the result is the float that a brute-force
+    search over every probe and node gives.
     """
     if len(nodes) == 0:
         raise ValueError("fill distance of an empty node set is undefined")
@@ -149,10 +159,97 @@ def fill_distance(domain: CubeDomain, nodes: PointSet, resolution: int | None = 
         resolution = default_fill_resolution(domain.dim)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    probes = _probe_lattice(domain, resolution)
-    tree = cKDTree(nodes.points)
-    dists, _ = tree.query(probes, k=1)
-    return float(np.max(dists))
+    pts = nodes.points
+    extent = np.maximum(pts.max(axis=0), domain.upper) - np.minimum(pts.min(axis=0), domain.lower)
+    slack = _SEARCH_SLACK * float(np.linalg.norm(extent))
+    # index len(pts) pads candidate lists: a node at infinity, never within reach
+    coords = [np.append(pts[:, a], np.inf) for a in range(domain.dim)]
+    fill2 = 0.0
+    for axes in _probe_axes(domain, resolution):
+        fill2 = _lattice_fill2(axes, coords, fill2, slack)
+    return math.sqrt(fill2)
+
+
+def _tiles(axis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and half-widths of consecutive runs of ``width`` coordinates."""
+    starts = np.arange(0, len(axis), width)
+    lo, hi = axis[starts], axis[np.minimum(starts + width, len(axis)) - 1]
+    mid = 0.5 * (lo + hi)
+    return mid, np.maximum(mid - lo, hi - mid)
+
+
+def _lattice_fill2(axes: list, coords: list, fill2: float, slack: float) -> float:
+    """Largest squared nearest-node distance over one probe lattice, or ``fill2``.
+
+    The lattice (the product of the ``axes`` coordinates) is split into
+    tiles of ``width`` consecutive probes per axis, ``width`` a power of two
+    that halves level by level down to single probes. The first level
+    starts from every node (see ``_FIRST_LEVEL_PAIRS``). Each tile keeps
+    the candidates among its parent's that can be nearest to one of its
+    points: with D the distance to the nearest node, c the tile's midpoint
+    and r its half-diagonal, every point p of the tile has
+    D(p) <= D(c) + r, so its nearest node lies within D(c) + 2r of c. A
+    tile whose D(c) + r is below a known lower bound of the result (some
+    tile's D(c) - r, or ``fill2``) holds no farthest probe and is dropped.
+    At single probes the squared distance to each candidate is summed axis
+    by axis from axis 0, as a brute-force search over all nodes sums it,
+    so the result is that search's float exactly.
+
+    ``coords`` holds the node coordinates per axis, each ending in a
+    padding node at infinity; ``slack`` widens every test (see
+    ``_SEARCH_SLACK``). The largest array has one entry per candidate of
+    each child of the tiles kept, never one per probe and node.
+    """
+    dim, pad = len(axes), len(coords[0]) - 1
+    width = max(2, 1 << (max(len(a) for a in axes) - 1).bit_length())
+    while width > 2 and math.prod(
+            -(-len(a) // (width // 2)) for a in axes) * 2**dim * pad <= _FIRST_LEVEL_PAIRS:
+        width //= 2
+    tiles = np.indices([-(-len(a) // width) for a in axes]).reshape(dim, -1).T
+    cand = np.broadcast_to(np.arange(pad), (len(tiles), pad))
+    lower = math.sqrt(fill2)
+    while True:
+        width //= 2
+        count, k = cand.shape
+        split = (count,) + (2,) * dim
+        d2 = reach2 = 0.0
+        valid = True
+        children = []
+        for a in range(dim):
+            mid, half = _tiles(axes[a], width)
+            shape = (count,) + (1,) * a + (2,) + (1,) * (dim - a - 1)
+            child = 2 * tiles[:, a, None] + (0, 1)
+            valid = valid & (child < len(mid)).reshape(shape)
+            child = np.minimum(child, len(mid) - 1)
+            diff = mid[child][..., None] - coords[a][cand][:, None, :]
+            sq = (diff * diff).reshape(shape + (k,))
+            d2 = d2 + sq if a else sq
+            reach2 = reach2 + (half[child] ** 2).reshape(shape)
+            children.append(np.broadcast_to(child.reshape(shape), split).ravel())
+        d2 = d2.reshape(-1, k)
+        near2 = d2.min(axis=1)
+        valid = np.broadcast_to(valid, split).ravel()
+        if width == 1:
+            return max(fill2, float(near2[valid].max()))
+        near = np.sqrt(near2)
+        reach = np.sqrt(np.broadcast_to(reach2, split).ravel())
+        lower = max(lower, float((near - reach)[valid].max()))
+        keep = np.flatnonzero(valid & (near + reach + slack >= lower))
+        if not len(keep):  # the lattice searched before holds a farther probe
+            return fill2
+        tiles = np.stack([c[keep] for c in children], axis=1)
+        within = d2[keep] <= ((near[keep] + 2.0 * reach[keep] + slack) ** 2)[:, None]
+        cand = _compact(cand, keep >> dim, within, pad)
+
+
+def _compact(cand: np.ndarray, parents: np.ndarray, within: np.ndarray, pad: int) -> np.ndarray:
+    """Row i: the entries of ``cand[parents[i]]`` where ``within[i]``, padded with ``pad``."""
+    counts = within.sum(axis=1)
+    rows, cols = np.nonzero(within)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.full((len(within), counts.max()), pad, dtype=np.intp)
+    out[rows, slots] = cand[parents[rows], cols]
+    return out
 
 
 def coverage_check(domain: CubeDomain, nodes: PointSet, d: float) -> bool:

@@ -94,8 +94,17 @@ class ApproximandSpec:
 
     def __post_init__(self):
         check(self, "approximand")
+        scheme, spacing = self.centers_scheme, self.centers_spacing
+        if scheme == "explicit" and not self.centers_points:
+            raise ValueError("approximand.centers.points must list at least one point for "
+                             "explicit centers")
+        if scheme == "grid" and (spacing is None or not spacing > 0.0):
+            raise ValueError(f"approximand.centers.spacing must be a number > 0 for grid "
+                             f"centers, got {spacing!r}")
+        if scheme in ("halton", "random") and self.centers_count is None:
+            raise ValueError(f"approximand.centers.count must be an integer for {scheme} centers")
         # random centers without a seed would differ from run to run
-        if self.centers_scheme == "random" and self.centers_seed is None:
+        if scheme == "random" and self.centers_seed is None:
             raise ValueError("approximand.centers.seed must be an integer for random centers")
 
     to_dict = write
@@ -212,8 +221,6 @@ def build_approximand(config: StudyConfig) -> KernelExpansion:
     """
     spec = config.approximand
     if spec.centers_scheme == "explicit":
-        if not spec.centers_points:
-            raise ValueError("explicit centers scheme needs centers_points")
         centers = PointSet.from_array(np.asarray(spec.centers_points, dtype=float))
     else:
         centers = generate_points(

@@ -158,6 +158,44 @@ def test_run_refuses_a_bad_config_with_a_message(tmp_path, capsys, edit, message
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "centers, message",
+    [
+        ({"points": None}, "approximand.centers.points must list at least one point"),
+        ({"scheme": "grid", "spacing": None}, "approximand.centers.spacing must be a number > 0"),
+    ],
+    ids=["explicit-null-points", "grid-null-spacing"],
+)
+def test_run_refuses_centers_the_scheme_cannot_use(tmp_path, capsys, centers, message):
+    doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+    doc["approximand"]["centers"].update(centers)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rbfstudy run: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run", "--config", "{missing}", "--out", "{out}"],
+     ["fit", "--rows", "{missing}", "--model", "mq"]],
+    ids=["run", "fit"],
+)
+def test_missing_input_file_is_one_line_and_exit_2(tmp_path, capsys, args):
+    missing = tmp_path / "no-such-file"
+    code = main([a.format(missing=missing, out=tmp_path / "out") for a in args])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rbfstudy {args[0]}: cannot read {missing}: No such file or directory\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gorny_subcommand(capsys):
     code = main(["gorny", "--trials", "100", "--seed", "3"])
     assert code == EXIT_OK

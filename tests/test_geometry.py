@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbfstudy
 from rbfstudy.geometry import (
     CubeDomain,
     PointSet,
@@ -98,6 +104,121 @@ class TestFillDistance:
         cell = domain.side / r * math.sqrt(dim)
         expected = spacing * math.sqrt(dim) / 2.0
         assert abs(fill_distance(domain, nodes, r) - expected) <= cell
+
+
+def brute_force_fill(domain, points, resolution):
+    """Every probe of the fill lattice against every node, a block of probes
+    at a time: the largest squared nearest-node distance, square-rooted once."""
+    step = domain.side / resolution
+    size = max(1, 2**20 // len(points))
+    fill2 = 0.0
+    for offsets in (np.arange(resolution + 1), np.arange(resolution) + 0.5):
+        axes = [lo + step * offsets for lo in domain.lower]
+        probes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        for start in range(0, len(probes), size):
+            block = probes[start:start + size]
+            d2 = 0.0
+            for a in range(domain.dim):
+                diff = block[:, None, a] - points[None, :, a]
+                d2 = d2 + diff * diff
+            fill2 = max(fill2, float(d2.min(axis=1).max()))
+    return math.sqrt(fill2)
+
+
+def _node_set(kind, count, dim, domain, rng):
+    lo, side = np.asarray(domain.lower), domain.side
+    if kind == "grid":
+        return uniform_grid(domain, max(2, round(count ** (1 / dim))))
+    if kind == "halton":
+        return lo + side * halton_points(count, dim)
+    if kind == "random":
+        return lo + side * rng.random((count, dim))
+    if kind == "faces":
+        # every node on a face, so probes on that face tie with it
+        pts = lo + side * rng.random((count, dim))
+        axis = rng.integers(0, dim, count)
+        pts[np.arange(count), axis] = lo[axis] + side * rng.integers(0, 2, count)
+        return np.unique(pts, axis=0)
+    if kind == "outside":
+        return lo + side * (3.0 * rng.random((count, dim)) - 1.0)
+    if kind == "on-probes":
+        # on vertices of the resolution-64 lattice: exact zeros and many ties
+        return lo + side / 64 * np.unique(rng.integers(0, 65, (count, dim)), axis=0)
+    if kind == "near-duplicates":
+        pts = lo + side * rng.random((count // 2 + 1, dim))
+        return np.vstack([pts, np.nextafter(pts, np.inf)])[:count]
+    raise ValueError(kind)
+
+
+def _with_duplicates(points):
+    """A PointSet holding repeated points, which its constructor refuses."""
+    nodes = PointSet.from_array(np.unique(points, axis=0))
+    object.__setattr__(nodes, "points", points)
+    return nodes
+
+
+# (dim, node set, count, resolution); brute force costs probes x nodes
+ORACLE_CASES = [
+    (1, "grid", 5, 16), (1, "halton", 1, 512), (1, "random", 2000, 512),
+    (1, "faces", 40, 64), (1, "outside", 300, 64), (1, "near-duplicates", 50, 512),
+    (1, "on-probes", 30, 64),
+    (2, "grid", 441, 64), (2, "grid", 25, 512), (2, "halton", 1, 16),
+    (2, "halton", 2000, 64), (2, "random", 1000, 16), (2, "random", 20, 512),
+    (2, "faces", 200, 64), (2, "outside", 500, 64), (2, "near-duplicates", 300, 64),
+    (2, "on-probes", 300, 64),
+    (3, "grid", 125, 16), (3, "halton", 2000, 16), (3, "random", 300, 16),
+    (3, "halton", 10, 64), (3, "faces", 100, 16), (3, "outside", 400, 16),
+    (3, "near-duplicates", 60, 16), (3, "on-probes", 20, 64),
+]
+
+
+class TestFillDistanceSearch:
+    """The lattice search returns the brute-force float exactly."""
+
+    @pytest.mark.parametrize("dim, kind, count, resolution", ORACLE_CASES,
+                             ids=[f"{d}d-{k}-{n}-r{r}" for d, k, n, r in ORACLE_CASES])
+    def test_equals_brute_force(self, dim, kind, count, resolution):
+        rng = np.random.default_rng(count * 10 + dim)
+        for domain in (CubeDomain.unit(dim), CubeDomain(dim, (-0.3, 2.0, 0.7)[:dim], 1.7)):
+            points = _node_set(kind, count, dim, domain, rng)
+            nodes = PointSet.from_array(points)
+            assert fill_distance(domain, nodes, resolution) == brute_force_fill(
+                domain, nodes.points, resolution)
+
+    @pytest.mark.parametrize("dim, resolution", [(1, 512), (2, 64), (3, 16)])
+    def test_duplicate_nodes_equal_brute_force(self, dim, resolution):
+        rng = np.random.default_rng(dim)
+        domain = CubeDomain.unit(dim)
+        points = rng.random((30, dim))
+        points = np.vstack([points, points[rng.integers(0, 30, 60)]])
+        assert fill_distance(domain, _with_duplicates(points), resolution) == brute_force_fill(
+            domain, points, resolution)
+
+    def test_memory_stays_far_below_probes_times_nodes(self):
+        domain = CubeDomain.unit(2)
+        nodes = generate_points(domain, "halton", count=2000)
+        resolution = 128
+        probes = (resolution + 1) ** 2 + resolution ** 2
+        fill_distance(domain, nodes, resolution)
+        tracemalloc.start()
+        try:
+            fill_distance(domain, nodes, resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one double per probe and node would be 528 MB; the search peaks near 2 MB
+        assert peak < probes * len(nodes) * 8 / 50
+
+
+def test_import_leaves_scipy_spatial_out():
+    src = str(Path(rbfstudy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rbfstudy, rbfstudy.cli; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestCoverageCheck:

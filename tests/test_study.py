@@ -210,6 +210,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "centers, match",
+        [
+            ({"points": None}, "approximand.centers.points must list"),
+            ({"points": []}, "approximand.centers.points must list"),
+            ({"scheme": "grid", "spacing": None}, "approximand.centers.spacing must be"),
+            ({"scheme": "grid", "spacing": 0.0}, "approximand.centers.spacing must be"),
+            ({"scheme": "halton", "count": None}, "approximand.centers.count must be"),
+            ({"scheme": "random", "count": None}, "approximand.centers.count must be"),
+        ],
+        ids=["explicit-null-points", "explicit-no-points", "grid-null-spacing",
+             "grid-zero-spacing", "halton-null-count", "random-null-count"],
+    )
+    def test_centers_scheme_needs_refused_at_load(self, centers, match):
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        doc["approximand"]["centers"].update(centers)
+        with pytest.raises(ValueError, match=match):
+            StudyConfig.from_dict(doc)
+
     def test_save_json_writes_the_format(self, tmp_path):
         for name in ("pilot_mq.json", "pilot_gaussian.json"):
             path = tmp_path / name
