@@ -3,8 +3,9 @@ inequality campaign.
 
 Exit codes: 0 all checks pass, 2 some refinement levels failed to solve
 or a bad argument (as argparse uses it; also a config ``run`` cannot read
-or refuses, or a rows file ``fit`` cannot read or fit, each reported in
-one line), 3 the bound-shape check (or the Gorny campaign) failed.
+or refuses, an output directory ``run`` cannot make, or a rows file
+``fit`` cannot read or fit, each reported in one line), 3 the bound-shape
+check (or the Gorny campaign) failed.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"rbfstudy run: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"rbfstudy run: cannot make directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     result = run_study(config)
     report = None
     if config.check_enabled and config.deriv_orders:
@@ -50,8 +57,6 @@ def _cmd_run(args) -> int:
         except ValueError as exc:
             print(f"bound check skipped: {exc}", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "rows.csv"
     summary_path = out / "summary.json"
     write_rows_csv(result, rows_path)
@@ -92,6 +97,9 @@ def _cmd_fit(args) -> int:
         rows = read_rows_csv(args.rows)
     except OSError as exc:
         print(f"rbfstudy fit: cannot read {args.rows}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"rbfstudy fit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     tags = list(dict.fromkeys(row["alpha"] for row in rows))
     if args.alpha not in tags:

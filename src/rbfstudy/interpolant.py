@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from rbfstudy.geometry import PointSet
@@ -37,7 +38,9 @@ DEFAULT_COND_LIMIT = 1e18
 # Above this condition double precision cannot resolve min|lambda|, and
 # what a method reads depends on the method. Such systems report the
 # eigenvalue reading (``_condition_2norm``) so that every gate decision
-# and saturated reading stays that of one fixed method.
+# and saturated reading stays that of one fixed method. ``solve`` takes
+# that reading in place, from the triangle of its one array that still
+# holds the system, after the refinement steps that read that triangle.
 RESOLVED_COND = 1e13
 
 
@@ -225,26 +228,45 @@ class Interpolant(KernelExpansion):
 
 
 def assemble_system(kernel: Kernel, nodes: PointSet) -> tuple[np.ndarray, MonomialBasis]:
-    """Saddle-point matrix [[A, P], [P^T, 0]] and the augmentation basis."""
+    """Saddle-point matrix [[A, P], [P^T, 0]] and the augmentation basis.
+
+    The matrix is allocated once, C-contiguous. ``Kernel.gram`` writes the
+    Gram block A into it, and P, P^T and the zero corner are written after;
+    no block is built apart and copied in.
+    """
     basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
-    gram = kernel.gram(nodes.points)
+    n = len(nodes)
+    system = np.empty((n + basis.size, n + basis.size))
+    kernel.gram(nodes.points, out=system[:n, :n])
     if basis.size:
         pmat = basis_matrix(basis, nodes.points)
-        system = np.block(
-            [[gram, pmat], [pmat.T, np.zeros((basis.size, basis.size))]]
-        )
-    else:
-        system = gram
+        system[:n, n:] = pmat
+        system[n:, :n] = pmat.T
+        system[n:, n:] = 0.0
     return system, basis
 
 
 def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT) -> Interpolant:
     """Solve the saddle-point interpolation system.
 
-    Assembles [[A, P], [P^T, 0]] with A the kernel Gram matrix on the nodes
-    and P the polynomial evaluation matrix, and factors it once (dense
-    symmetric-indefinite LDL^T). That factorization serves the condition
-    estimate, the solve and two steps of iterative refinement.
+    Assembles S = [[A, P], [P^T, 0]] with A the kernel Gram matrix on the
+    nodes and P the polynomial evaluation matrix, and factors it once
+    (dense symmetric-indefinite LDL^T). That factorization serves the
+    condition estimate, the solve and two steps of iterative refinement.
+
+    One (n+q)^2 array holds S from assembly to return. In order:
+    1. ``assemble_system`` fills it; it is checked finite row block by row
+       block, and Lanczos reads |lambda|max(S) from it.
+    2. ``dsytrf`` factors it in place through its F-contiguous transpose:
+       L and D overwrite the lower triangle and the diagonal, and the
+       strict upper triangle, never read by LAPACK, keeps S. The diagonal
+       of S is saved beforehand.
+    3. Lanczos on the factors reads |lambda|max(S^-1); the solve and both
+       refinement steps follow. Each residual rhs - S x is a ``dsymv`` on
+       the upper triangle with S's diagonal swapped in.
+    4. Last, where the eigenvalues are needed (an exactly singular D, or a
+       reading above RESOLVED_COND), ``eigvalsh`` reads them from the upper
+       triangle and the saved diagonal, overwriting the array.
 
     The reported condition estimate is the 2-norm condition
     max|lambda| / min|lambda| of the symmetric system, read as
@@ -264,36 +286,54 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
         )
     n = len(nodes)
     system, basis = assemble_system(kernel, nodes)
+    size = len(system)
     rhs = np.concatenate([problem.values, np.zeros(basis.size)])
 
-    if not np.all(np.isfinite(system)):
+    # Checked in row blocks, so no boolean array of the system's size is made.
+    step = max(1, EVAL_BLOCK_PAIRS // max(1, size))
+    if not all(np.isfinite(system[i:i + step]).all() for i in range(0, size, step)):
         raise SingularSystemError("saddle-point system too ill-conditioned", float("inf"))
-    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(len(system))
-    factors, pivots, info = scipy.linalg.lapack.dsytrf(system, lwork=int(lwork))
+    # A system scaled near the underflow limit overflows in products with
+    # its inverse; the Lanczos reading is then infinite and not used.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _lanczos_max_abs(lambda v: system @ v, size)
+
+    # The upper triangle of ``system`` is the lower triangle of ``upper``,
+    # an F-contiguous view that LAPACK and BLAS take without a copy.
+    upper = system.T
+    diagonal = system.reshape(-1)[:: size + 1]
+    s_diagonal = diagonal.copy()
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(size)
+    factors, pivots, info = scipy.linalg.lapack.dsytrf(upper, lwork=int(lwork), overwrite_a=1)
     if info > 0:
+        diagonal[:] = s_diagonal
         raise SingularSystemError(
-            f"LDL^T factor D is exactly singular at {info}", _condition_2norm(system)
+            f"LDL^T factor D is exactly singular at {info}",
+            _condition_2norm(upper, overwrite_a=True),
         )
+    d_diagonal = diagonal.copy()
 
     def backsolve(b):
         return scipy.linalg.lapack.dsytrs(factors, pivots, b)[0]
 
-    # A system scaled near the underflow limit overflows in products with
-    # its inverse; the Lanczos reading is then infinite and not used.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = _lanczos_max_abs(lambda v: system @ v, len(system)) * _lanczos_max_abs(
-            backsolve, len(system)
-        )
-    if not cond <= RESOLVED_COND:
-        cond = _condition_2norm(system)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularSystemError("saddle-point system too ill-conditioned", cond)
+    def residual(x):
+        diagonal[:] = s_diagonal
+        product = scipy.linalg.blas.dsymv(1.0, upper, x, lower=1)
+        diagonal[:] = d_diagonal
+        return rhs - product
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = norm * _lanczos_max_abs(backsolve, size)
     solution = backsolve(rhs)
     # Two steps of iterative refinement push the nodal residual back
     # toward machine level on moderately conditioned systems.
     for _ in range(2):
-        solution = solution + backsolve(rhs - system @ solution)
+        solution = solution + backsolve(residual(solution))
+    if not cond <= RESOLVED_COND:
+        diagonal[:] = s_diagonal
+        cond = _condition_2norm(upper, overwrite_a=True)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularSystemError("saddle-point system too ill-conditioned", cond)
     return Interpolant(kernel, nodes, solution[:n], solution[n:], cond)
 
 
@@ -331,14 +371,17 @@ def _lanczos_max_abs(apply, size: int) -> float:
     return float(abs(ritz[k]))
 
 
-def _condition_2norm(system: np.ndarray) -> float:
+def _condition_2norm(system: np.ndarray, overwrite_a: bool = False) -> float:
     """2-norm condition max|lambda| / min|lambda| of a finite symmetric matrix.
 
-    Infinite when an eigenvalue is exactly zero or the eigenvalue iteration
-    fails.
+    Only the lower triangle of ``system`` is read. With ``overwrite_a`` an
+    F-contiguous ``system`` is worked on in place and destroyed. Infinite
+    when an eigenvalue is exactly zero or the eigenvalue iteration fails.
     """
     try:
-        eigenvalues = scipy.linalg.eigvalsh(system, check_finite=False)
+        eigenvalues = scipy.linalg.eigvalsh(
+            system, lower=True, overwrite_a=overwrite_a, check_finite=False
+        )
     except np.linalg.LinAlgError:
         return float("inf")
     magnitudes = np.abs(eigenvalues)

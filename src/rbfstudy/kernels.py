@@ -184,7 +184,7 @@ class Kernel:
         """
         return self._at_points(self._check_order(alpha), x)
 
-    def cross(self, alpha, x, centers) -> np.ndarray:
+    def cross(self, alpha, x, centers, out=None) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
 
         x (n, dim) and centers (m, dim) give an (n, m) matrix, filled in row
@@ -192,11 +192,15 @@ class Kernel:
         the kernel core's arrays do not grow with the matrix and are
         allocated once. Each block is built from one contiguous difference
         plane per axis rather than an (n, m, dim) tensor. The order and the
-        points are checked once, not per block.
+        points are checked once, not per block. The matrix is written into
+        ``out`` when it is given, an (n, m) array or view, and returned.
         """
         orders = [self._check_order(alpha)]
         x, centers = self._check_points(x), self._check_points(centers)
-        out = np.empty((len(x), len(centers)))
+        if out is None:
+            out = np.empty((len(x), len(centers)))
+        elif out.shape != (len(x), len(centers)):
+            raise ValueError(f"out has shape {out.shape}, expected {(len(x), len(centers))}")
         step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
         work = Workspace(min(step, len(x)), (len(centers),))
         for start in range(0, len(x), step):
@@ -227,9 +231,10 @@ class Kernel:
             planes.append(np.subtract(plane, scratch, out=plane))
         return self._derivative_on_planes(orders, planes, work)
 
-    def gram(self, points: np.ndarray) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences."""
-        return self.cross((0,) * self.dim, points, points)
+    def gram(self, points: np.ndarray, out=None) -> np.ndarray:
+        """Symmetric matrix of kernel values on all pairwise differences,
+        written into ``out`` when it is given (see ``cross``)."""
+        return self.cross((0,) * self.dim, points, points, out=out)
 
     def _at_points(self, alpha: tuple[int, ...], x) -> float | np.ndarray:
         x = self._check_points(x)

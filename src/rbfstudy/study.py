@@ -584,10 +584,17 @@ def write_rows_csv(result: StudyResult, path) -> None:
 
 
 def read_rows_csv(path) -> list[dict]:
-    """Read a rows CSV back into a list of per-row dicts."""
+    """Read a rows CSV back into a list of per-row dicts.
+
+    Raises ValueError naming the missing columns when the header is not
+    that of a rows CSV.
+    """
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [column for column in CSV_HEADER.split(",") if column not in header]
+        if missing:
+            raise ValueError(f"{path} is not a rows CSV: missing columns {', '.join(missing)}")
         for line in fh:
             line = line.strip()
             if not line:

@@ -196,6 +196,31 @@ def test_missing_input_file_is_one_line_and_exit_2(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_an_out_path_that_is_a_file_before_the_study(tmp_path, capsys,
+                                                                  monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("")
+    monkeypatch.setattr("rbfstudy.cli.run_study", lambda config: pytest.fail("study ran"))
+    code = main(["run", "--config", str(FIXTURES / "pilot_mq.json"), "--out", str(out)])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rbfstudy run: cannot make directory {out}: File exists\n"
+    assert out.read_text() == ""
+
+
+def test_fit_refuses_a_file_that_is_not_a_rows_csv(capsys):
+    config = FIXTURES / "pilot_mq.json"
+    code = main(["fit", "--rows", str(config), "--model", "mq"])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"rbfstudy fit: {config} is not a rows CSV: missing columns level, d, N, kernel, "
+        "beta, c, alpha, sup_error, norm_f, regime, cond_estimate\n"
+    )
+
+
 def test_gorny_subcommand(capsys):
     code = main(["gorny", "--trials", "100", "--seed", "3"])
     assert code == EXIT_OK

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from rbfstudy import interpolant as interpolant_module
@@ -89,7 +90,8 @@ class TestSolveExamples:
 
     def test_same_bits_as_three_symmetric_solves(self):
         # One LDL^T factorization reused for the solve and both refinement
-        # steps gives what three separate symmetric solves gave.
+        # steps gives what three separate symmetric solves gave, with each
+        # residual taken as solve takes it: dsymv on the upper triangle.
         kernel = Kernel.multiquadric(1.0, 0.2, 2)
         nodes = generate_points(CubeDomain.unit(2), "halton", count=120)
         values = np.random.default_rng(5).standard_normal(len(nodes))
@@ -99,8 +101,9 @@ class TestSolveExamples:
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             expected = scipy.linalg.solve(system, rhs, assume_a="sym")
             for _ in range(2):
+                product = scipy.linalg.blas.dsymv(1.0, system.T, expected, lower=1)
                 expected = expected + scipy.linalg.solve(
-                    system, rhs - system @ expected, assume_a="sym"
+                    system, rhs - product, assume_a="sym"
                 )
         interp = solve(InterpolationProblem(kernel, nodes, values))
         assert np.array_equal(interp.weights, expected[: len(nodes)])
@@ -127,6 +130,56 @@ class TestSolveExamples:
             solve(InterpolationProblem(kernel, nodes, np.ones(count)))
         if count == 2:
             assert info.value.cond_estimate == math.inf
+
+    def test_non_finite_system_rejected(self, monkeypatch):
+        # Nodes 1e155 apart: their squared difference overflows, so the far
+        # node's row and column are infinite. Checked in blocks of one row,
+        # the system is refused before it is factored.
+        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 5)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", lambda *a, **k: pytest.fail("factored"))
+        kernel = Kernel.multiquadric(1.0, 1.0, 1)
+        nodes = PointSet.from_array([[0.0], [0.5], [1.0], [1e155]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SingularSystemError) as info:
+                solve(InterpolationProblem(kernel, nodes, np.ones(4)))
+        assert info.value.cond_estimate == math.inf
+
+    def test_duplicated_node_reports_eigenvalue_reading(self):
+        # Two nodes 1e-9 apart, far from the others: the Gaussian cannot
+        # tell them apart (between them it rounds to 1, towards every other
+        # node it underflows to 0), so their rows are duplicates. The LDL^T
+        # factor D gets an exactly zero pivot, and the condition is read
+        # from the eigenvalues of the triangle that still holds the system.
+        kernel = Kernel.gaussian(10.0, 1)
+        points = list(np.linspace(0.0, 1.0, 12))
+        points.insert(3, 30.0)
+        points.insert(8, 30.0 + 1e-9)
+        nodes = PointSet.from_array(np.array(points)[:, None])
+        system, _ = assemble_system(kernel, nodes)
+        assert scipy.linalg.lapack.dsytrf(system)[2] > 0
+        expected = interpolant_module._condition_2norm(system)
+        assert math.isfinite(expected)
+        with pytest.raises(SingularSystemError, match="exactly singular") as info:
+            solve(InterpolationProblem(kernel, nodes, np.ones(len(nodes))))
+        assert info.value.cond_estimate == expected
+
+    def test_solve_holds_one_system_array(self):
+        # Assembly, factorization, refinement and the condition estimate
+        # share one (n+q)^2 array: a copy of the system anywhere in solve
+        # (np.block, or an f2py copy of a C-ordered argument) would double
+        # the peak.
+        kernel = Kernel.multiquadric(1.0, 0.1, 2)
+        nodes = generate_points(CubeDomain.unit(2), "halton", count=1000)
+        problem = InterpolationProblem(kernel, nodes, np.sin(3.0 * nodes.points).sum(axis=1))
+        size = len(nodes) + MonomialBasis.for_cpd_order(2, kernel.cpd_order).size
+        tracemalloc.start()
+        try:
+            solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * size**2
 
     def test_value_count_mismatch(self):
         kernel = Kernel.gaussian(1.0, 1)
@@ -185,6 +238,9 @@ class TestConditionEstimate:
         assert lanczos > RESOLVED_COND
         values = np.cos(nodes.points[:, 0])
         interp = solve(InterpolationProblem(kernel, nodes, values))
+        # solve reads the eigenvalues in place, from the triangle of its
+        # factored array that still holds the system: the same bits as
+        # from a fresh copy.
         assert interp.cond_estimate == interpolant_module._condition_2norm(system)
         # At a true condition of 1e20 the nodal residual reads about 1e-5.
         assert np.max(np.abs(interp.evaluate(nodes.points) - values)) < 1e-4

@@ -184,6 +184,22 @@ def test_gram_blocks_same_bits_as_one_cross(dim, monkeypatch):
         assert np.array_equal(kernel.gram(points), full)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gram_into_a_view_same_bits(dim, monkeypatch):
+    rng = np.random.default_rng(40 + dim)
+    points = rng.uniform(-1.0, 1.0, size=(50, dim))
+    kernel = Kernel.multiquadric(1.0, 0.3, dim)
+    expected = kernel.gram(points)
+    # Blocks of 7 rows written into the leading block of a wider array.
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 7 * 50 + 3)
+    system = np.full((53, 53), np.nan)
+    assert kernel.gram(points, out=system[:50, :50]).base is system
+    assert np.array_equal(system[:50, :50], expected)
+    assert np.isnan(system[50:]).all() and np.isnan(system[:, 50:]).all()
+    with pytest.raises(ValueError, match="shape"):
+        kernel.gram(points, out=system[:49, :50])
+
+
 def test_gram_memory_is_the_result_plus_a_block():
     kernel = Kernel.multiquadric(1.0, 0.1, 2)
     points = np.random.default_rng(21).random((2000, 2))
