@@ -344,21 +344,30 @@ def _base_error(params, d: float, norm_f: float) -> float:
         return bounds.gaussian_bound(params, d, norm_f)
 
 
-def _double_measure(config, f, probes, inner):
-    """``measure(nodes, stats) -> (errors, cond)`` in double precision, with f
-    on the probes evaluated once per study; errors are value-first sups."""
-    f_values = [np.atleast_1d(f.evaluate(probes))] + [
-        np.atleast_1d(v) for v in f.evaluate_derivatives(config.deriv_orders, inner)
-    ]
+def _double_measure(config, f, probes, inner_mask):
+    """``measure(nodes, stats) -> (errors, cond)`` in double precision;
+    errors are value-first sups.
+
+    Each probe is visited once per expansion: the value alone on the outer
+    probes, and the value with every derivative order in one pass on the
+    inner ones, so the value sup is the larger of two sups. f is swept once
+    per study, and each level's interpolant once.
+    """
+    outer, inner = probes[~inner_mask], probes[inner_mask]
+    orders = [(0,) * config.kernel.dim] + list(config.deriv_orders)
+
+    def sweep(expansion):
+        return [np.atleast_1d(expansion.evaluate(outer))] + [
+            np.atleast_1d(v) for v in expansion.evaluate_derivatives(orders, inner)
+        ]
+
+    f_values = sweep(f)
 
     def measure(nodes, stats):
         interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
-        s_values = [interp.evaluate(probes)] + interp.evaluate_derivatives(
-            config.deriv_orders, inner
-        )
-        errors = [float(np.max(np.abs(fv - np.atleast_1d(sv))))
-                  for fv, sv in zip(f_values, s_values)]
-        return errors, interp.cond_estimate
+        sups = [float(np.max(np.abs(fv - sv), initial=0.0))
+                for fv, sv in zip(f_values, sweep(interp))]
+        return [float(np.max(sups[:2]))] + sups[2:], interp.cond_estimate
 
     return measure
 
@@ -402,11 +411,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     norm_f = f.native_norm()
     probes = uniform_grid(config.domain, config.probe_resolution)
     inner_mask = _inner_probe_mask(config.domain, probes, config.delta)
-    inner = probes[inner_mask]
-    if len(inner) == 0:
+    if not inner_mask.any():
         raise ValueError("no probe points keep a delta-ball inside the domain")
     if config.solver_dps is None:
-        measure = _double_measure(config, f, probes, inner)
+        measure = _double_measure(config, f, probes, inner_mask)
     else:
         measure = _mp_measure(config, f, probes, inner_mask)
 

@@ -139,13 +139,35 @@ class TestEvaluateDerivative:
             kernel.evaluate_derivative((-1, 0), [0.1, 0.2])
 
 
+def _seed_mq_profile(kernel, j, t):
+    """j-th multiquadric profile derivative, coeff * t**(beta/2 - j).
+
+    An odd-integer beta takes one square root: with s = beta - 2j and
+    k = (|s| - 1) / 2, root * t**k (root multiplied by t k times, left to
+    right) times coeff for s > 0, coeff divided by it for s < 0. Any other
+    beta takes ``t ** (beta/2 - j)`` times coeff.
+    """
+    half = kernel.beta / 2.0
+    coeff = math.gamma(-half)
+    for i in range(j):
+        coeff *= half - i
+    if not (float(kernel.beta).is_integer() and int(kernel.beta) % 2 == 1):
+        out = t ** (half - j)
+        out *= coeff
+        return out
+    s = int(kernel.beta) - 2 * j
+    product = np.sqrt(t)
+    for _ in range((abs(s) - 1) // 2):
+        product = product * t
+    return product * coeff if s > 0 else coeff / product
+
+
 def _seed_tensor_value(kernel, diffs):
     """Kernel value on an (..., dim) difference tensor, summed with np.sum."""
     t = np.sum(diffs * diffs, axis=-1)
     if kernel.family is KernelFamily.GAUSSIAN:
         return np.exp(-kernel.beta * t)
-    half = kernel.beta / 2.0
-    return math.gamma(-half) * (kernel.c**2 + t) ** half
+    return _seed_mq_profile(kernel, 0, kernel.c**2 + t)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -240,13 +262,7 @@ def _seed_profile_deriv(kernel, j, t):
         out = np.exp(-kernel.beta * t)
         out *= (-kernel.beta) ** j
         return out
-    half = kernel.beta / 2.0
-    coeff = math.gamma(-half)
-    for i in range(j):
-        coeff *= half - i
-    out = t ** (half - j)
-    out *= coeff
-    return out
+    return _seed_mq_profile(kernel, j, t)
 
 
 def _seed_eval_poly(poly, planes):
@@ -284,11 +300,14 @@ def _seed_at_points(kernel, alpha, x):
 
 
 def _workspace_kernels(dim):
-    # beta = 1 takes the sqrt fast path of ** 0.5; beta = 3 takes t**1.5.
+    # beta = 1, -1 and 3 take the square-root form, with t multiplied in
+    # for beta = 3 (j = 0) and beta = -1 (j >= 1); beta = 2.5 takes the
+    # power form and the Gaussian exp.
     return [
         Kernel.multiquadric(1.0, 0.3, dim),
         Kernel.multiquadric(-1.0, 0.3, dim),
         Kernel.multiquadric(3.0, 0.4, dim),
+        Kernel.multiquadric(2.5, 0.4, dim),
         Kernel.gaussian(2.5, dim),
     ]
 
@@ -511,3 +530,28 @@ def test_profile_term_orders_bounded_by_total():
         for term in derivative_terms(dim, alpha):
             assert 0 <= term.deriv_order <= sum(alpha)
             assert all(len(expo) == dim for expo in term.poly)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("beta", [-3.0, -1.0, 1.0, 3.0, 5.0])
+def test_root_form_profiles_within_4_ulp_of_mpmath(beta, dim):
+    # Profiles j <= 3 of odd-integer beta, from one square root, at the t the
+    # core sums from dim difference planes, against coeff * t**(beta/2 - j)
+    # in 40 digits at the same t: relative error at most 4 ulp of 1.0.
+    kernel = Kernel.multiquadric(beta, 0.3, dim)
+    planes = list(np.random.default_rng(60 + dim).uniform(-2.0, 2.0, size=(dim, 300)))
+    t = planes[0] * planes[0]
+    for plane in planes[1:]:
+        t += plane * plane
+    t += kernel.c**2
+    js = [0, 1, 2, 3]
+    profiles = kernel._profiles(js, t.copy(), Workspace(len(t)))
+    with mpmath.workdps(40):
+        half = mpmath.mpf(beta) / 2
+        for j in js:
+            coeff = mpmath.gamma(-half)
+            for i in range(j):
+                coeff *= half - i
+            for t_value, got in zip(t, profiles[j]):
+                exact = coeff * mpmath.mpf(t_value) ** (half - j)
+                assert abs(mpmath.mpf(got) - exact) <= 4 * np.finfo(float).eps * abs(exact)

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from rbfstudy import highprec
+from rbfstudy import interpolant as interpolant_module
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
 from rbfstudy.cli import EXIT_PARTIAL, main
-from rbfstudy.geometry import CubeDomain
-from rbfstudy.interpolant import KernelExpansion
+from rbfstudy.geometry import CubeDomain, uniform_grid
+from rbfstudy.interpolant import KernelExpansion, interpolate_expansion
 from rbfstudy.kernels import Kernel
 from rbfstudy.study import (
     ApproximandSpec,
     StudyConfig,
     StudyResult,
     StudyRow,
+    _double_measure,
+    _inner_probe_mask,
+    _level_nodes,
     alpha_tag,
     build_approximand,
     check_bounds,
@@ -552,23 +556,66 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
     calls = []
 
     def counting(self, alphas, x):
-        calls.append((len(self.centers), tuple(alphas)))
+        calls.append((len(self.centers), tuple(alphas), len(x)))
         return original(self, alphas, x)
 
     monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", counting)
     result = run_study(config)
     node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
     assert result.failed_levels == 0 and node_counts == [9, 25]
-    # f once per study, then the interpolant once per level, for every order together
-    derivative_calls = [call for call in calls if call[1] != ((0, 0),)]
-    n_f = config.approximand.centers_count
-    assert derivative_calls == [(n_f, orders), (9, orders), (25, orders)]
+    # 17^2 of the 21^2 probes keep the delta-ball inside. f once per study,
+    # then per level f at the nodes and the interpolant: the value alone on
+    # the outer probes, the value and every order together on the inner ones.
+    n_f, zero = config.approximand.centers_count, ((0, 0),)
+    assert calls == [
+        (n_f, zero, 152), (n_f, zero + orders, 289),
+        (n_f, zero, 9), (9, zero, 152), (9, zero + orders, 289),
+        (n_f, zero, 25), (25, zero, 152), (25, zero + orders, 289),
+    ]
 
     def per_order(self, alphas, x):
         return [original(self, [a], x)[0] for a in alphas]
 
     monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", per_order)
     assert run_study(config).rows == result.rows
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(kernel=Kernel.multiquadric(1.0, 0.5, 2), deriv_orders=((1, 0), (0, 1), (1, 1))),
+        dict(kernel=Kernel.multiquadric(3.0, 0.5, 2), deriv_orders=((1, 0), (0, 1), (2, 0))),
+        dict(kernel=Kernel.gaussian(3.0, 2), deriv_orders=((1, 0), (0, 1), (1, 1))),
+        dict(kernel=Kernel.multiquadric(1.0, 0.5, 1), domain=CubeDomain.unit(1),
+             deriv_orders=((1,), (2,)), spacings=(0.25, 0.125), probe_resolution=81),
+    ],
+    ids=["mq1-2d", "mq3-2d", "gaussian-2d", "mq1-1d"],
+)
+def test_double_measure_matches_separate_value_and_derivative_sweeps(overrides, monkeypatch):
+    # Blocks of a few rows, so the outer, inner and all-probe sweeps are
+    # partitioned differently and the sums of ``@ weights`` round apart.
+    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 7 * 25 + 3)
+    defaults = dict(domain=CubeDomain.unit(2), spacings=(0.5, 0.25), smoothness_order=3,
+                    probe_resolution=31, fill_resolution=16)
+    config = tiny_config(**{**defaults, **overrides})
+    f = build_approximand(config)
+    probes = uniform_grid(config.domain, config.probe_resolution)
+    inner_mask = _inner_probe_mask(config.domain, probes, config.delta)
+    inner = probes[inner_mask]
+    measure = _double_measure(config, f, probes, inner_mask)
+    for level in range(config.levels):
+        nodes = _level_nodes(config, level)
+        errors, cond = measure(nodes, {})
+        interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
+        expected = [np.max(np.abs(f.evaluate(probes) - interp.evaluate(probes)))] + [
+            np.max(np.abs(f.evaluate_derivative(alpha, inner)
+                          - interp.evaluate_derivative(alpha, inner)))
+            for alpha in config.deriv_orders
+        ]
+        assert cond == interp.cond_estimate
+        assert len(errors) == len(expected)
+        for got, want in zip(errors, expected):
+            assert want > 0.0 and abs(got - want) <= 1e-12 * want
 
 
 def test_gorny_campaign_deterministic():
