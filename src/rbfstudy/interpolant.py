@@ -134,19 +134,13 @@ class KernelExpansion:
         follows the block's rows, so the partition depends on the number of
         centers only, never on the orders, and each order's block goes through
         the product as it would alone. With no centers the value is the
-        polynomial part alone. D^alpha p is added only for the orders that
-        leave a monomial with a nonzero coefficient, decided once per call.
+        polynomial part alone.
         """
         kernel = self.kernel
         orders = [kernel._check_order(alpha) for alpha in alphas]
         x, centers = kernel._check_points(x), kernel._check_points(self.centers.points)
         if not orders:
             return []
-        with_poly = [
-            any(coeff and all(e >= a for e, a in zip(expo, alpha))
-                for coeff, expo in zip(self.poly_coeffs, self.basis.exponents))
-            for alpha in orders
-        ]
         flat = x.reshape(-1, kernel.dim)
         outs = [np.empty(len(flat)) for _ in orders]
         step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
@@ -154,9 +148,9 @@ class KernelExpansion:
         for start in range(0, len(flat), step):
             block = flat[start:start + step]
             crosses = kernel._cross(orders, block, centers, work)
-            for alpha, poly, cross, out in zip(orders, with_poly, crosses, outs):
+            for alpha, cross, out in zip(orders, crosses, outs):
                 value = cross @ self.weights
-                if poly:
+                if self.basis.size:
                     value += self.basis.evaluate_derivative(self.poly_coeffs, alpha, block)
                 out[start:start + step] = value
         outs = [out.reshape(x.shape[:-1]) for out in outs]

@@ -150,22 +150,14 @@ class Kernel:
     def _shift(self) -> float:
         return self.c**2 if self.family is KernelFamily.MULTIQUADRIC else 0.0
 
-    def _root_form(self) -> bool:
-        """Whether the profile derivatives are formed from one square root:
-        a multiquadric of odd-integer beta (1, -1, 3, ...)."""
-        return (self.family is KernelFamily.MULTIQUADRIC and float(self.beta).is_integer()
-                and int(self.beta) % 2 == 1)
-
-    def _profile_deriv(self, j: int, t: np.ndarray, out: np.ndarray, root=None) -> np.ndarray:
+    def _profile_deriv(self, j: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """j-th derivative of the radial profile at t = c**2 + |x|**2,
-        written into ``out``, which may be t itself, or ``root``.
+        written into ``out``, which may be t itself.
 
-        An odd-integer beta multiquadric is formed from ``root = sqrt(t)``,
-        computed here unless given: with s = beta - 2j and k = (|s| - 1)/2,
-        ``t**(s/2)`` is ``root * t**k`` (root times t, k times, left to
-        right) for s > 0 and its reciprocal for s < 0, and the coefficient
-        multiplies or divides last, so the beta = 1 value is
-        ``sqrt(t) * coeff``. There ``out`` may be t only where k <= 1.
+        A multiquadric exponent of -1/2 (the first derivative of beta = 1)
+        is ``coeff / sqrt(t)``: a square root and a division cost half the
+        ``pow`` that ``t ** -0.5`` takes. Exponent 1/2 already takes
+        ``sqrt`` through ``_power``.
         """
         if self.family is KernelFamily.GAUSSIAN:
             np.multiply(t, -self.beta, out=out)
@@ -176,40 +168,12 @@ class Kernel:
         coeff = math.gamma(-half)
         for i in range(j):
             coeff *= half - i
-        if not self._root_form():
-            _power(t, half - j, out)
-            out *= coeff
-            return out
-        s = int(self.beta) - 2 * j
-        product = np.sqrt(t) if root is None else root
-        if abs(s) > 1:
-            product = np.multiply(product, t, out=out)
-            for _ in range((abs(s) - 3) // 2):
-                product *= t
-        if s > 0:
-            return np.multiply(product, coeff, out=out)
-        return np.divide(coeff, product, out=out)
-
-    def _profiles(self, js: list, t: np.ndarray, work: Workspace) -> dict:
-        """Each profile derivative j in ``js``, ascending, at t, in an array of
-        its own that no later step of the core writes.
-
-        Every profile is computed before any result, so the last one may
-        overwrite what the profiles read: t, or the root form's ``root``.
-        The root is written into t when no profile reads t again (k = 0 for
-        every j), as for the value and first partials of beta = 1, so the
-        root form holds no more arrays than the power form.
-        """
-        r = len(t)
-        root = None
-        if self._root_form():
-            needs_t = any(abs(int(self.beta) - 2 * j) > 1 for j in js)
-            root = np.sqrt(t, out=work.get("root", r) if needs_t else t)
-        last = t if root is None else root
-        return {
-            j: self._profile_deriv(j, t, last if j == js[-1] else work.get(f"profile{j}", r), root)
-            for j in js
-        }
+        if half - j == -0.5:
+            np.sqrt(t, out=out)
+            return np.divide(coeff, out, out=out)
+        _power(t, half - j, out)
+        out *= coeff
+        return out
 
     def evaluate(self, x) -> float | np.ndarray:
         """Kernel value at x.
@@ -315,7 +279,12 @@ class Kernel:
         t += self._shift()
         term_lists = [derivative_terms(self.dim, alpha) for alpha in orders]
         js = sorted({term.deriv_order for terms in term_lists for term in terms})
-        profiles = self._profiles(js, t, work)
+        profiles = {}
+        for j in js:
+            # Profiles read only t, and every one is computed before any
+            # result, so the last one may overwrite t.
+            out = t if j == js[-1] else work.get(f"profile{j}", r)
+            profiles[j] = self._profile_deriv(j, t, out)
         one = {(0,) * self.dim: 1.0}
         results = []
         for k, terms in enumerate(term_lists):

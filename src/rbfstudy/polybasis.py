@@ -83,14 +83,18 @@ class MonomialBasis:
             return np.zeros(x.shape[:-1] + (0,))
         return np.stack(cols, axis=-1)
 
-    def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray:
-        """Value of D^alpha of the polynomial with the given coefficients."""
+    def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray | float:
+        """Value of D^alpha of the polynomial with the given coefficients.
+
+        The scalar 0.0 when D^alpha leaves no monomial with a nonzero
+        coefficient, so adding it to an array allocates nothing.
+        """
         x = np.asarray(x, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
         alpha = tuple(int(a) for a in alpha)
-        out = np.zeros(x.shape[:-1], dtype=float)
+        out = 0.0
         for coeff, expo in zip(coeffs, self.exponents):
             factor = coeff
             for e, a in zip(expo, alpha):

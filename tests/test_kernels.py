@@ -140,26 +140,18 @@ class TestEvaluateDerivative:
 
 
 def _seed_mq_profile(kernel, j, t):
-    """j-th multiquadric profile derivative, coeff * t**(beta/2 - j).
-
-    An odd-integer beta takes one square root: with s = beta - 2j and
-    k = (|s| - 1) / 2, root * t**k (root multiplied by t k times, left to
-    right) times coeff for s > 0, coeff divided by it for s < 0. Any other
-    beta takes ``t ** (beta/2 - j)`` times coeff.
-    """
+    """j-th multiquadric profile derivative, coeff * t**(beta/2 - j): for
+    exponent -1/2, coeff divided by ``np.sqrt(t)``, else ``t ** (beta/2 - j)``
+    times coeff."""
     half = kernel.beta / 2.0
     coeff = math.gamma(-half)
     for i in range(j):
         coeff *= half - i
-    if not (float(kernel.beta).is_integer() and int(kernel.beta) % 2 == 1):
-        out = t ** (half - j)
-        out *= coeff
-        return out
-    s = int(kernel.beta) - 2 * j
-    product = np.sqrt(t)
-    for _ in range((abs(s) - 1) // 2):
-        product = product * t
-    return product * coeff if s > 0 else coeff / product
+    if half - j == -0.5:
+        return coeff / np.sqrt(t)
+    out = t ** (half - j)
+    out *= coeff
+    return out
 
 
 def _seed_tensor_value(kernel, diffs):
@@ -300,14 +292,13 @@ def _seed_at_points(kernel, alpha, x):
 
 
 def _workspace_kernels(dim):
-    # beta = 1, -1 and 3 take the square-root form, with t multiplied in
-    # for beta = 3 (j = 0) and beta = -1 (j >= 1); beta = 2.5 takes the
-    # power form and the Gaussian exp.
+    # beta = 1 takes the sqrt fast path of ** 0.5 for the value and
+    # coeff / sqrt(t) for exponent -1/2, as do the beta = -1 value and the
+    # beta = 3 second derivative; every other exponent takes t ** e.
     return [
         Kernel.multiquadric(1.0, 0.3, dim),
         Kernel.multiquadric(-1.0, 0.3, dim),
         Kernel.multiquadric(3.0, 0.4, dim),
-        Kernel.multiquadric(2.5, 0.4, dim),
         Kernel.gaussian(2.5, dim),
     ]
 
@@ -534,24 +525,23 @@ def test_profile_term_orders_bounded_by_total():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("beta", [-3.0, -1.0, 1.0, 3.0, 5.0])
-def test_root_form_profiles_within_4_ulp_of_mpmath(beta, dim):
-    # Profiles j <= 3 of odd-integer beta, from one square root, at the t the
-    # core sums from dim difference planes, against coeff * t**(beta/2 - j)
-    # in 40 digits at the same t: relative error at most 4 ulp of 1.0.
+def test_mq_profiles_within_4_ulp_of_mpmath(beta, dim):
+    # Profiles j <= 3 of odd-integer beta, at the t the core sums from dim
+    # difference planes, against coeff * t**(beta/2 - j) in 40 digits at the
+    # same t: relative error at most 4 ulp of 1.0.
     kernel = Kernel.multiquadric(beta, 0.3, dim)
     planes = list(np.random.default_rng(60 + dim).uniform(-2.0, 2.0, size=(dim, 300)))
     t = planes[0] * planes[0]
     for plane in planes[1:]:
         t += plane * plane
     t += kernel.c**2
-    js = [0, 1, 2, 3]
-    profiles = kernel._profiles(js, t.copy(), Workspace(len(t)))
     with mpmath.workdps(40):
         half = mpmath.mpf(beta) / 2
-        for j in js:
+        for j in range(4):
+            profile = kernel._profile_deriv(j, t, np.empty_like(t))
             coeff = mpmath.gamma(-half)
             for i in range(j):
                 coeff *= half - i
-            for t_value, got in zip(t, profiles[j]):
+            for t_value, got in zip(t, profile):
                 exact = coeff * mpmath.mpf(t_value) ** (half - j)
                 assert abs(mpmath.mpf(got) - exact) <= 4 * np.finfo(float).eps * abs(exact)
