@@ -130,11 +130,11 @@ class KernelExpansion:
         faulted in again, zero-filled, by the next block. One pass over a
         block serves every order: the kernel core shares the block's
         difference planes, ``t`` and profile derivatives among the orders and
-        gives each order the bits it has alone. The rounding of ``@ weights``
-        follows the block's rows, so the partition depends on the number of
-        centers only, never on the orders, and each order's block goes through
-        the product as it would alone. With no centers the value is the
-        polynomial part alone.
+        gives each order the bits it has alone. The weights' product rounds
+        by the block's rows, so the partition depends on the number of centers
+        only, and each order's block goes through it as it would alone, into
+        the result. D^alpha p is resolved once per call: a constant, zero or
+        evaluated per block. With no centers it is the value alone.
         """
         kernel = self.kernel
         orders = [kernel._check_order(alpha) for alpha in alphas]
@@ -143,16 +143,18 @@ class KernelExpansion:
             return []
         flat = x.reshape(-1, kernel.dim)
         outs = [np.empty(len(flat)) for _ in orders]
+        polys = [self.basis.constant_derivative(self.poly_coeffs, alpha) for alpha in orders]
         step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
         work = Workspace(min(step, len(flat)), (len(centers),))
         for start in range(0, len(flat), step):
             block = flat[start:start + step]
             crosses = kernel._cross(orders, block, centers, work)
-            for alpha, cross, out in zip(orders, crosses, outs):
-                value = cross @ self.weights
-                if self.basis.size:
+            for alpha, cross, poly, out in zip(orders, crosses, polys, outs):
+                value = np.dot(cross, self.weights, out=out[start:start + step])
+                if poly is None:
                     value += self.basis.evaluate_derivative(self.poly_coeffs, alpha, block)
-                out[start:start + step] = value
+                elif poly:
+                    value += poly
         outs = [out.reshape(x.shape[:-1]) for out in outs]
         return [float(out) if out.ndim == 0 else out for out in outs]
 

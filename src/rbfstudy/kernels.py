@@ -56,12 +56,13 @@ class Workspace:
     works in the first r rows of each, which are contiguous. An array is
     allocated the first time a block asks for its role, so a workspace
     holds only the arrays its derivative order uses, and later blocks
-    allocate nothing of block size.
+    allocate nothing of block size and run the ``program`` the first fetched.
     """
 
     def __init__(self, rows: int, shape: tuple[int, ...] = ()):
         self.rows, self.shape = rows, tuple(shape)
         self._arrays: dict[str, np.ndarray] = {}
+        self.key = self.program = None
 
     def get(self, role: str, r: int) -> np.ndarray:
         """The first r rows of the array kept for ``role``."""
@@ -147,34 +148,6 @@ class Kernel:
             return 0
         return math.ceil(self.beta / 2.0)
 
-    def _shift(self) -> float:
-        return self.c**2 if self.family is KernelFamily.MULTIQUADRIC else 0.0
-
-    def _profile_deriv(self, j: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """j-th derivative of the radial profile at t = c**2 + |x|**2,
-        written into ``out``, which may be t itself.
-
-        A multiquadric exponent of -1/2 (the first derivative of beta = 1)
-        is ``coeff / sqrt(t)``: a square root and a division cost half the
-        ``pow`` that ``t ** -0.5`` takes. Exponent 1/2 already takes
-        ``sqrt`` through ``_power``.
-        """
-        if self.family is KernelFamily.GAUSSIAN:
-            np.multiply(t, -self.beta, out=out)
-            np.exp(out, out=out)
-            out *= (-self.beta) ** j
-            return out
-        half = self.beta / 2.0
-        coeff = math.gamma(-half)
-        for i in range(j):
-            coeff *= half - i
-        if half - j == -0.5:
-            np.sqrt(t, out=out)
-            return np.divide(coeff, out, out=out)
-        _power(t, half - j, out)
-        out *= coeff
-        return out
-
     def evaluate(self, x) -> float | np.ndarray:
         """Kernel value at x.
 
@@ -222,8 +195,8 @@ class Kernel:
         The planes and every intermediate live in ``work``, a Workspace of
         at least len(x) rows of (len(centers),), and each result is a view
         into it, valid until its next use. A caller walking blocks passes
-        one workspace to every block, so no block allocates, and no block's
-        pages are returned to the kernel and faulted in again by the next.
+        one workspace to every block: the block program is fetched once per
+        call, and no block allocates or faults in pages the last returned.
         Nothing is checked here: such a caller checks its orders, points and
         centers once and calls this for each block.
         """
@@ -257,47 +230,48 @@ class Kernel:
         """The kernel core: the derivative of each order in ``orders`` at the
         differences whose axis-i components are ``planes[i]``, each of r rows.
 
-        One pass serves every order. ``t`` is built once. Each profile
-        derivative j that any order's terms use is computed once, into an
-        array of its own, and shared by those orders. Each order's result
-        is the sum, in term order, of ``profile_j * poly`` over its terms,
-        written into an array of its own, while the planes, ``t`` and the
-        profiles are only read. So each result repeats the operations, in
-        the same order, of the allocating formula
-        ``sum(profile_j(t) * poly(planes))`` for its order alone, and has
-        the same bits whatever other orders share the pass (``a * b`` and
-        ``b * a`` round alike). ``t`` is summed axis by axis in increasing
-        order, which reproduces ``np.sum(x * x, axis=-1)`` bit for bit.
+        A block runs the ``_block_program`` of the kernel and orders. One
+        pass serves every order. ``t`` is built once. Each profile derivative
+        j that any order's terms use is computed once, into an array of its
+        own, shared by those orders (exponents 1/2 and -1/2 by one root).
+        Each order's result is the sum, in term order, of ``profile_j *
+        poly`` over its terms, written into an array of its own, while the
+        planes, ``t`` and the profiles are only read. So each result repeats
+        the operations, in the same order, of the allocating formula
+        ``sum(profile_j(t) * poly(planes))`` for its order alone, and has the
+        same bits whatever other orders share the pass (``a * b`` and ``b *
+        a`` round alike). ``t`` is summed axis by axis in increasing order,
+        which reproduces ``np.sum(x * x, axis=-1)`` bit for bit.
 
         Every array is written into the first r rows of ``work``, and each
         result is a view into it, valid until the workspace's next use.
         """
+        if work.key != (self, tuple(orders)):  # the first block of a call
+            work.key, work.program = (self, tuple(orders)), _block_program(self, tuple(orders))
+        shift, steps, order_terms = work.program
         r = len(planes[0])
         t = np.multiply(planes[0], planes[0], out=work.get("t", r))
         for plane in planes[1:]:
             t += np.multiply(plane, plane, out=work.get("scratch", r))
-        t += self._shift()
-        term_lists = [derivative_terms(self.dim, alpha) for alpha in orders]
-        js = sorted({term.deriv_order for terms in term_lists for term in terms})
+        t += shift
         profiles = {}
-        for j in js:
+        for kind, args, coeffs, js, roles in steps:
             # Profiles read only t, and every one is computed before any
-            # result, so the last one may overwrite t.
-            out = t if j == js[-1] else work.get(f"profile{j}", r)
-            profiles[j] = self._profile_deriv(j, t, out)
-        one = {(0,) * self.dim: 1.0}
+            # result, so the last one (role None) may overwrite t.
+            outs = [t if role is None else work.get(role, r) for role in roles]
+            _run_profiles(kind, args, coeffs, t, outs)
+            profiles.update(zip(js, outs))
         results = []
-        for k, terms in enumerate(term_lists):
+        for role, terms in order_terms:
             out = None
-            for term in terms:
-                profile = profiles[term.deriv_order]
-                if term.poly == one:
+            for j, monomials in terms:
+                if monomials is None:
                     # The value, alpha = 0, has this one term only: its
                     # profile is the result, and no later step writes it.
-                    out = profile
+                    out = profiles[j]
                     continue
-                value = work.get(f"order{k}" if out is None else "value", r)
-                np.multiply(profile, _eval_poly(term.poly, planes, work), out=value)
+                value = work.get(role if out is None else "value", r)
+                np.multiply(profiles[j], _eval_poly(monomials, planes, work), out=value)
                 if out is None:
                     out = value
                 else:
@@ -395,7 +369,57 @@ def derivative_terms(dim: int, alpha: tuple[int, ...]) -> tuple[RadialProfileTer
     )
 
 
-def _eval_poly(poly: dict, planes: list, work: Workspace) -> np.ndarray | float:
+@lru_cache(maxsize=None)
+def _block_program(kernel: Kernel, orders: tuple) -> tuple:
+    """What the kernel core runs on each block: ``(c**2, steps, terms)``. A
+    step ``(kind, args, coeffs, js, roles)`` writes profiles js ("exp",
+    "pow" of exponent beta/2 - j, or "root": 1/2 and -1/2 from one sqrt)
+    into roles (None: ``t``). gamma(-beta/2) * prod_{i<j} (beta/2 - i) is
+    rounded once from 40 digits: ``math.gamma`` is up to 1.8 ulp off. Per
+    order, ``terms`` holds a role and its ``(j, monomials)``: None for the
+    value, else ``(coeff, (axis, e) factors)`` per monomial."""
+    import mpmath
+    term_lists = [derivative_terms(kernel.dim, alpha) for alpha in orders]
+    js = sorted({term.deriv_order for terms in term_lists for term in terms})
+    half, steps = mpmath.mpf(kernel.beta) / 2, {}
+    for j, role in zip(js, [f"profile{j}" for j in js[:-1]] + [None]):
+        if kernel.family is KernelFamily.GAUSSIAN:
+            kind, arg, coeff = "exp", kernel.beta, (-kernel.beta) ** j
+        else:
+            arg = kernel.beta / 2.0 - j
+            kind = "root" if abs(arg) == 0.5 else "pow"
+            with mpmath.workdps(40):
+                coeff = float(mpmath.gamma(-half) * mpmath.fprod(half - i for i in range(j)))
+        key = "root" if kind == "root" else j
+        fields = steps.get(key, (kind, (), (), (), ()))[1:]
+        steps[key] = (kind, *(f + (v,) for f, v in zip(fields, (arg, coeff, j, role))))
+    one = {(0,) * kernel.dim: 1.0}
+    terms = tuple((f"order{k}", tuple((term.deriv_order, None if term.poly == one else tuple(
+        (coeff, tuple((axis, e) for axis, e in enumerate(expo) if e))
+        for expo, coeff in term.poly.items())) for term in terms))
+        for k, terms in enumerate(term_lists))
+    shift = kernel.c**2 if kernel.family is KernelFamily.MULTIQUADRIC else 0.0
+    return shift, tuple(steps.values()), terms
+
+
+def _run_profiles(kind: str, args: tuple, coeffs: tuple, t: np.ndarray, outs: list) -> None:
+    """One profile step of a block program, from t into outs."""
+    out = outs[0]
+    if kind == "root":
+        # The quotient reads the root before the root is scaled in place.
+        np.sqrt(t, out=out)
+        if args[-1] < 0:
+            np.divide(coeffs[-1], out, out=outs[-1])
+        if args[0] < 0:
+            return
+    elif kind == "exp":
+        np.exp(np.multiply(t, -args[0], out=out), out=out)
+    else:
+        _power(t, args[0], out)
+    out *= coeffs[0]
+
+
+def _eval_poly(monomials: tuple, planes: list, work: Workspace) -> np.ndarray | float:
     """Polynomial value at the differences whose axis-i components are planes[i].
 
     Repeats ``sum(coeff * planes[0]**e0 * planes[1]**e1 ...)``, summed left
@@ -405,19 +429,18 @@ def _eval_poly(poly: dict, planes: list, work: Workspace) -> np.ndarray | float:
     """
     r = len(planes[0])
     out = None
-    for expo, coeff in poly.items():
-        factors = [(plane, e) for plane, e in zip(planes, expo) if e]
+    for coeff, factors in monomials:
         if not factors:
             return coeff
         term = work.get("scratch" if out is None else "term", r)
-        (plane, e), factors = factors[0], factors[1:]
+        (axis, e), factors = factors[0], factors[1:]
         if e == 1:
-            np.multiply(plane, coeff, out=term)
+            np.multiply(planes[axis], coeff, out=term)
         else:
-            _power(plane, e, term)
+            _power(planes[axis], e, term)
             term *= coeff
-        for plane, e in factors:
-            term *= plane if e == 1 else _power(plane, e, work.get("power", r))
+        for axis, e in factors:
+            term *= planes[axis] if e == 1 else _power(planes[axis], e, work.get("power", r))
         if out is None:
             out = term
         else:

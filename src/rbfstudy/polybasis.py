@@ -83,18 +83,14 @@ class MonomialBasis:
             return np.zeros(x.shape[:-1] + (0,))
         return np.stack(cols, axis=-1)
 
-    def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray | float:
-        """Value of D^alpha of the polynomial with the given coefficients.
-
-        The scalar 0.0 when D^alpha leaves no monomial with a nonzero
-        coefficient, so adding it to an array allocates nothing.
-        """
-        x = np.asarray(x, dtype=float)
+    def _derivative_monomials(self, coeffs: np.ndarray, alpha) -> list:
+        """``(factor, exponents)`` of each monomial that D^alpha leaves with a
+        nonzero coefficient, in basis order."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
         alpha = tuple(int(a) for a in alpha)
-        out = 0.0
+        out = []
         for coeff, expo in zip(coeffs, self.exponents):
             factor = coeff
             for e, a in zip(expo, alpha):
@@ -103,14 +99,34 @@ class MonomialBasis:
                     break
                 for i in range(a):
                     factor *= e - i
-            if factor == 0.0:
-                continue
+            if factor != 0.0:
+                out.append((factor, tuple(e - a for e, a in zip(expo, alpha))))
+        return out
+
+    def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray | float:
+        """Value of D^alpha of the polynomial with the given coefficients.
+
+        The scalar 0.0 when D^alpha leaves no monomial with a nonzero
+        coefficient, so adding it to an array allocates nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        out = 0.0
+        for factor, expo in self._derivative_monomials(coeffs, alpha):
             term = np.full(x.shape[:-1], factor, dtype=float)
-            for j, (e, a) in enumerate(zip(expo, alpha)):
-                if e - a:
-                    term = term * x[..., j] ** (e - a)
+            for j, e in enumerate(expo):
+                if e:
+                    term = term * x[..., j] ** e
             out = out + term
         return out
+
+    def constant_derivative(self, coeffs: np.ndarray, alpha) -> float | None:
+        """D^alpha of the polynomial as a float when it is constant (0.0 when
+        D^alpha leaves no monomial), else None. A constant is one monomial,
+        so it has the bits of every entry of ``evaluate_derivative``."""
+        monomials = self._derivative_monomials(coeffs, alpha)
+        if any(any(expo) for _, expo in monomials):
+            return None
+        return monomials[0][0] if monomials else 0.0
 
 
 def polynomial_space_dim(dim: int, m: int) -> int:

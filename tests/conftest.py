@@ -54,14 +54,16 @@ def multi_indices_up_to(dim, max_total):
 
 def order_lists(dim):
     """Lists of derivative orders for multi-order evaluation: the value
-    alone, first orders, first and second orders, mixed orders with the
-    value, a repeated order and the empty list."""
+    alone, first orders, the value and first orders, first and second
+    orders, mixed orders with the value, a repeated order and the empty
+    list."""
     zero = (0,) * dim
     first = multi_indices_up_to(dim, 1)
     second = [a for a in multi_indices_up_to(dim, 2) if sum(a) == 2]
     return [
         [zero],
         first,
+        [zero] + first,
         first + second,
         [second[-1], zero, first[0], second[0]],
         [first[0], first[0], zero, zero],

@@ -6,7 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from rbfstudy import interpolant as interpolant_module
 from rbfstudy import kernels as kernels_module
+from rbfstudy.geometry import PointSet
+from rbfstudy.interpolant import KernelExpansion
 from rbfstudy.kernels import (
     EVAL_BLOCK_PAIRS,
     Kernel,
@@ -139,14 +142,22 @@ class TestEvaluateDerivative:
             kernel.evaluate_derivative((-1, 0), [0.1, 0.2])
 
 
+def _mq_coeff(beta, j):
+    """gamma(-beta/2) * prod_{i<j} (beta/2 - i) in 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(beta) / 2
+        coeff = mpmath.gamma(-half)
+        for i in range(j):
+            coeff *= half - i
+        return float(coeff)
+
+
 def _seed_mq_profile(kernel, j, t):
     """j-th multiquadric profile derivative, coeff * t**(beta/2 - j): for
     exponent -1/2, coeff divided by ``np.sqrt(t)``, else ``t ** (beta/2 - j)``
     times coeff."""
     half = kernel.beta / 2.0
-    coeff = math.gamma(-half)
-    for i in range(j):
-        coeff *= half - i
+    coeff = _mq_coeff(kernel.beta, j)
     if half - j == -0.5:
         return coeff / np.sqrt(t)
     out = t ** (half - j)
@@ -430,6 +441,70 @@ def test_workspace_multi_order_cross_allocates_nothing_of_block_size():
     assert peak < 0.05 * rows * len(centers) * 8
 
 
+def _count_programs(monkeypatch):
+    calls = []
+    build = kernels_module._block_program
+
+    def counting(kernel, orders):
+        calls.append(orders)
+        return build(kernel, orders)
+
+    monkeypatch.setattr(kernels_module, "_block_program", counting)
+    return calls
+
+
+def test_one_program_fetch_per_call_over_many_blocks(monkeypatch):
+    kernel = Kernel.multiquadric(1.0, 0.3, 2)
+    rng = np.random.default_rng(56)
+    centers = rng.uniform(-1.0, 1.0, size=(9, 2))
+    x = rng.uniform(-1.0, 1.0, size=(23, 2))
+    f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9), [0.4])
+    # 4 of the 23 rows per block: 6 blocks per call.
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+    calls = _count_programs(monkeypatch)
+    f.evaluate_derivatives([(0, 0), (1, 0), (0, 1)], x)
+    assert calls == [((0, 0), (1, 0), (0, 1))]
+    calls.clear()
+    kernel.cross((1, 0), x, centers)
+    assert calls == [((1, 0),)]
+    calls.clear()
+    kernel.gram(x)
+    assert calls == [((0, 0),)]
+
+
+def test_expansion_orders_bit_identical_to_per_block_reference(monkeypatch):
+    # beta = 3: cpd order 2, so p is linear; the value takes p per block,
+    # the first partials a constant and the second partials nothing.
+    kernel = Kernel.multiquadric(3.0, 0.4, 2)
+    rng = np.random.default_rng(57)
+    centers = rng.uniform(-1.0, 1.0, size=(9, 2))
+    f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9),
+                        rng.standard_normal(3))
+    x = rng.uniform(-1.0, 1.0, size=(23, 2))
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    # 4 probes per block, so 23 probes end in a partial block of 3.
+    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+    got = f.evaluate_derivatives(orders, x)
+    for alpha, values in zip(orders, got):
+        expected = np.concatenate([
+            _seed_cross(kernel, alpha, x[start:start + 4], centers) @ f.weights
+            + f.basis.evaluate_derivative(f.poly_coeffs, alpha, x[start:start + 4])
+            for start in range(0, 23, 4)
+        ])
+        assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("beta", [-3.0, -1.0, 1.0, 3.0, 5.0, 7.0, 0.5, 2.5])
+def test_mq_coefficients_rounded_once_from_mpmath(beta):
+    kernel = Kernel.multiquadric(beta, 0.3, 1)
+    steps = kernels_module._block_program(kernel, tuple((k,) for k in range(5)))[1]
+    coeffs = {j: coeff for _, _, step_coeffs, js, _ in steps for j, coeff in zip(js, step_coeffs)}
+    assert sorted(coeffs) == [0, 1, 2, 3, 4]
+    for j, coeff in coeffs.items():
+        assert coeff == _mq_coeff(beta, j)
+
+
 def test_cross_derivative_matches_difference_tensor():
     rng = np.random.default_rng(12)
     for kernel in sample_kernels():
@@ -485,6 +560,18 @@ def test_finite_difference_oracle():
                 assert abs(analytic[i] - fd) <= 1e-5 * (1.0 + abs(analytic[i]))
 
 
+def _program_profiles(kernel, t, top):
+    """Profile derivatives 0..top at t, by the profile steps of a block
+    program whose orders use them all."""
+    orders = tuple((k,) + (0,) * (kernel.dim - 1) for k in range(top + 1))
+    profiles = {}
+    for kind, args, coeffs, js, _ in kernels_module._block_program(kernel, orders)[1]:
+        outs = [np.empty_like(t) for _ in js]
+        kernels_module._run_profiles(kind, args, coeffs, t, outs)
+        profiles.update(zip(js, outs))
+    return profiles
+
+
 def test_mixed_partial_symmetry():
     # differentiation order through the term recursion does not matter
     rng = np.random.default_rng(10)
@@ -499,7 +586,7 @@ def test_mixed_partial_symmetry():
                 total = 0.0
                 for j, poly in terms.items():
                     for expo, coeff in poly.items():
-                        profile = kernel._profile_deriv(j, np.asarray(t), np.empty(()))
+                        profile = _program_profiles(kernel, np.asarray(t), j)[j]
                         total += coeff * x[0] ** expo[0] * x[1] ** expo[1] * profile
                 return total
 
@@ -538,7 +625,7 @@ def test_mq_profiles_within_4_ulp_of_mpmath(beta, dim):
     with mpmath.workdps(40):
         half = mpmath.mpf(beta) / 2
         for j in range(4):
-            profile = kernel._profile_deriv(j, t, np.empty_like(t))
+            profile = _program_profiles(kernel, t, j)[j]
             coeff = mpmath.gamma(-half)
             for i in range(j):
                 coeff *= half - i
