@@ -130,11 +130,11 @@ class KernelExpansion:
         faulted in again, zero-filled, by the next block. One pass over a
         block serves every order: the kernel core shares the block's
         difference planes, ``t`` and profile derivatives among the orders and
-        gives each order the bits it has alone. The weights' product rounds
-        by the block's rows, so the partition depends on the number of centers
-        only, and each order's block goes through it as it would alone, into
-        the result. D^alpha p is resolved once per call: a constant, zero or
-        evaluated per block. With no centers it is the value alone.
+        gives each order the bits it has alone. The product with the weights
+        rounds by the block's rows, so the partition depends on the number of
+        centers only; each order's block goes through it as it would alone,
+        straight into the result. D^alpha p is resolved once per call (a
+        scalar, zero, or evaluated per block), and is all with no centers.
         """
         kernel = self.kernel
         orders = [kernel._check_order(alpha) for alpha in alphas]

@@ -230,14 +230,14 @@ class Kernel:
         """The kernel core: the derivative of each order in ``orders`` at the
         differences whose axis-i components are ``planes[i]``, each of r rows.
 
-        A block runs the ``_block_program`` of the kernel and orders. One
-        pass serves every order. ``t`` is built once. Each profile derivative
-        j that any order's terms use is computed once, into an array of its
-        own, shared by those orders (exponents 1/2 and -1/2 by one root).
-        Each order's result is the sum, in term order, of ``profile_j *
-        poly`` over its terms, written into an array of its own, while the
-        planes, ``t`` and the profiles are only read. So each result repeats
-        the operations, in the same order, of the allocating formula
+        A block runs the cached ``_block_program``, fetched once per call.
+        One pass serves every order. ``t`` is built once. Each profile
+        derivative j that any order's terms use is computed once, into an
+        array of its own, shared by those orders (exponents 1/2 and -1/2 by
+        one square root). Each order's result is the sum, in term order, of
+        ``profile_j * poly`` over its terms, into an array of its own, while
+        the planes, ``t`` and the profiles are only read. So each result
+        repeats the operations, in order, of the allocating formula
         ``sum(profile_j(t) * poly(planes))`` for its order alone, and has the
         same bits whatever other orders share the pass (``a * b`` and ``b *
         a`` round alike). ``t`` is summed axis by axis in increasing order,
@@ -396,8 +396,8 @@ def _block_program(kernel: Kernel, orders: tuple) -> tuple:
     one = {(0,) * kernel.dim: 1.0}
     terms = tuple((f"order{k}", tuple((term.deriv_order, None if term.poly == one else tuple(
         (coeff, tuple((axis, e) for axis, e in enumerate(expo) if e))
-        for expo, coeff in term.poly.items())) for term in terms))
-        for k, terms in enumerate(term_lists))
+        for expo, coeff in term.poly.items())) for term in term_list))
+        for k, term_list in enumerate(term_lists))
     shift = kernel.c**2 if kernel.family is KernelFamily.MULTIQUADRIC else 0.0
     return shift, tuple(steps.values()), terms
 
