@@ -10,11 +10,13 @@ Only the study harness uses it; the library's solver stays double.
 Each recorded number comes from the rounded mp operations of the plain
 per-entry formulas, in their order, less exact no-ops (``0 + x``, ``1 * x``,
 ``x ** 1``) and exact negations; only repeated work is shared. ``MpCore``
-builds the profile constants once and forms ``t`` and each profile
-derivative once per difference for all orders; ``approximand_on_probes``
-evaluates f once per study; ``measure_level`` solves with ``lu_solve``, an
-LU on row lists repeating mpmath 1.3's ``lu_solve`` operation for
-operation, then makes one pass over the probes for all orders.
+runs the double path's ``kernels.compiled_terms`` and
+``MonomialBasis.derivative_rule`` in mp, builds the mp profile constants
+once and forms ``t`` and each profile derivative once per difference for
+all orders; ``approximand_on_probes`` evaluates f once per study;
+``measure_level`` solves with ``lu_solve``, an LU on row lists repeating
+mpmath 1.3's ``lu_solve`` operation for operation, then makes one pass
+over the probes for all orders.
 
 Two further savings keep the bits. One ``MpCore`` serves a whole study:
 ``run_study`` builds it at ``solver_dps`` and passes it to
@@ -30,13 +32,13 @@ each axis and ``t`` is even, so under round-to-nearest, which rounds
 ``-y`` to minus the rounding of ``y`` and has no ``-0``, reflecting an
 axis negates exactly the orders whose alpha entries on the reflected
 axes sum to an odd number. A core therefore refuses any precision or
-rounding but the ones it was built at, and ``measure_level`` any kernel
-or orders but its own. The kernel body and the hot loops (expansion
-sums, LU row updates and substitutions) run on raw ``_mpf_`` tuples
-through ``mpmath.libmp``'s ``mpf_add``/``mpf_sub``/``mpf_mul``/
-``mpf_div``/``mpf_exp``/``mpf_pow``/``mpf_pow_int`` at the core's
-precision and rounding, which are the very calls the ``mpf`` operators
-and ``mp.exp`` make, without the wrapper objects.
+rounding but the ones it was built at, ``measure_level`` any kernel or
+orders but its own, and ``approximand_on_probes`` an f of another kernel.
+The kernel body and the hot loops (expansion sums, LU row updates and
+substitutions) run on raw ``_mpf_`` tuples through the ``mpmath.libmp``
+calls the ``mpf`` operators and ``mp.exp`` make (``mpf_add``/``mpf_sub``/
+``mpf_mul``/``mpf_div``/``mpf_exp``/``mpf_pow``/``mpf_pow_int``), at the
+core's precision and rounding.
 """
 
 from __future__ import annotations
@@ -51,15 +53,17 @@ from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf
                           mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
                           round_nearest)
 
-from rbfstudy.interpolant import SingularSystemError
-from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
+from rbfstudy.interpolant import KernelExpansion, SingularSystemError
+from rbfstudy.kernels import Kernel, KernelFamily, compiled_terms
 from rbfstudy.polybasis import MonomialBasis
 
 
 class MpCore:
     """Kernel and monomial derivatives of the orders ``(0,...,0) + alphas``,
     built and used at ``dps`` digits (``prec`` bits) and round-to-nearest;
-    ``count`` asks for the first ``count`` orders (1: the value).
+    ``count`` asks for the first ``count`` orders (1: the value). Only the
+    profile constants are computed here; the terms and the monomial rule
+    are the double path's, with their numbers made ``mpf``.
 
     ``memo`` maps a difference's per-axis absolute values (each ``_mpf_``
     tuple less its sign bit) to the raw kernel values of every order
@@ -79,12 +83,10 @@ class MpCore:
             self.source = kernel
             self.orders = ((0,) * kernel.dim,) + tuple(tuple(a) for a in alphas)
             self.gaussian = kernel.family is KernelFamily.GAUSSIAN
-            # per order: [(j, poly)], poly a list of (raw coeff, ((axis, e), ...)),
-            # or None for the constant polynomial 1, which leaves profile_j as it is
-            self.terms = [[(term.deriv_order, None if term.poly == {self.orders[0]: 1.0} else [
-                (mpf(coeff)._mpf_, tuple((axis, e) for axis, e in enumerate(expo) if e))
-                for expo, coeff in term.poly.items()
-            ]) for term in derivative_terms(kernel.dim, alpha)] for alpha in self.orders]
+            # per order: kernels.compiled_terms with each coefficient a raw mpf
+            self.terms = [[(j, None if poly is None else [
+                (mpf(coeff)._mpf_, factors) for coeff, factors in poly
+            ]) for j, poly in compiled_terms(kernel.dim, alpha)] for alpha in self.orders]
             self.profile_orders = sorted({j for terms in self.terms for j, _ in terms})
             # per pattern of sign bits over the axes: per order, whether it flips
             self.flips = {signs: [sum(a for a, s in zip(alpha, signs) if s) % 2
@@ -105,10 +107,13 @@ class MpCore:
                 self.power = [p._mpf_ for p in power]
             self.scale = [v._mpf_ for v in scale]
             self.basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
-            # per order, per basis monomial: its derivative as a one-term poly,
-            # or None where it vanishes
-            self.monomials = [[_monomial(expo, alpha) for expo in self.basis.exponents]
-                              for alpha in self.orders]
+            # per order, per basis monomial: its derivative by polybasis's rule
+            # as a one-term poly (the integer factors' exact product), or None
+            # where it vanishes
+            self.monomials = [[None if rule is None else [(
+                mpf(math.prod(rule[0]))._mpf_,
+                tuple((axis, e) for axis, e in enumerate(rule[1]) if e),
+            )] for rule in self.basis.derivative_rule(alpha)] for alpha in self.orders]
 
     def _check_prec(self) -> None:
         if mp._prec_rounding != [self.prec, self.rounding]:
@@ -179,17 +184,6 @@ class MpCore:
         return [mp.make_mpf(v) for v in totals]
 
 
-def _monomial(expo, alpha):
-    factor = mpf(1)
-    for e, a in zip(expo, alpha):
-        if a > e:
-            return None
-        for i in range(a):
-            factor *= e - i
-    return [(factor._mpf_, tuple((axis, e - a) for axis, (e, a) in enumerate(zip(expo, alpha))
-                                 if e - a))]
-
-
 def _poly_value(poly, x, prec, rnd):
     """``poly`` at the raw point ``x``, by the calls the mpf operators make."""
     total = None
@@ -206,14 +200,16 @@ def _mp_rows(points) -> list:
     return [[mpf(v) for v in row] for row in np.atleast_2d(points)]
 
 
-def approximand_on_probes(core: MpCore, centers, weights, poly_coeffs, probes,
-                          inner_mask) -> list:
-    """The approximand in mp, once per study, for ``measure_level``: per probe,
-    its mp coordinates and f's value, then at inner probes each of ``core``'s
-    derivatives, at the precision ``core`` was built at."""
+def approximand_on_probes(core: MpCore, f: KernelExpansion, probes, inner_mask) -> list:
+    """The approximand f in mp, once per study, for ``measure_level``: per
+    probe, its mp coordinates and f's value, then at inner probes each of
+    ``core``'s derivatives, at the precision ``core`` was built at. f's kernel
+    must be the one ``core`` serves."""
+    if f.kernel != core.source:
+        raise ValueError(f"MpCore of {core.source} passed for an expansion of {f.kernel}")
     with mp.workprec(core.prec):
-        mp_centers, mp_weights = _mp_rows(centers), [mpf(v) for v in weights]
-        mp_poly = [mpf(v) for v in poly_coeffs]
+        mp_centers, mp_weights = _mp_rows(f.centers.points), [mpf(v) for v in f.weights]
+        mp_poly = [mpf(v) for v in f.poly_coeffs]
         return [(x, core.expansion(mp_centers, mp_weights, mp_poly, x,
                                    len(core.orders) if inner else 1))
                 for x, inner in zip(_mp_rows(probes), inner_mask)]

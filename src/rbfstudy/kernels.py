@@ -9,7 +9,8 @@ Both families are radial profiles of the squared-distance argument
 
 Partial derivatives of any multi-index order are exact: a derivative is a
 finite sum of terms ``poly(x) * profile_deriv_j(t(x))``, built once per
-``(dim, order)`` by a symbolic recursion and cached.
+``(dim, order)`` by a symbolic recursion and compiled once, by
+``compiled_terms``, for the double core here and the mp core in ``highprec``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Workspace:
     allocate nothing of block size and run the ``program`` the first fetched.
     """
 
-    def __init__(self, rows: int, shape: tuple[int, ...] = ()):
+    def __init__(self, rows: int, shape: tuple[int, ...]):
         self.rows, self.shape = rows, tuple(shape)
         self._arrays: dict[str, np.ndarray] = {}
         self.key = self.program = None
@@ -155,16 +156,20 @@ class Kernel:
         the result drops the last axis. Note the multiquadric carries its
         gamma prefactor, which is negative for 0 < beta < 2.
         """
-        return self._at_points((0,) * self.dim, x)
+        return self.evaluate_derivative((0,) * self.dim, x)
 
     def evaluate_derivative(self, alpha, x) -> float | np.ndarray:
         """Partial derivative of the kernel of multi-index order alpha at x.
 
         Exact evaluation via cached symbolic term lists. alpha of all zeros
         reduces to ``evaluate``. Raises UnsupportedOrderError when
-        ``sum(alpha)`` exceeds MAX_DERIVATIVE_ORDER.
+        ``sum(alpha)`` exceeds MAX_DERIVATIVE_ORDER. The points are the rows
+        of a ``cross`` with one center at the origin (``x - 0.0`` is ``x``).
         """
-        return self._at_points(self._check_order(alpha), x)
+        x = self._check_points(x)
+        out = self.cross(alpha, x.reshape(-1, self.dim), np.zeros((1, self.dim)))
+        out = out.reshape(x.shape[:-1])
+        return float(out) if out.ndim == 0 else out
 
     def cross(self, alpha, x, centers, out=None) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
@@ -190,47 +195,17 @@ class Kernel:
         return out
 
     def _cross(self, orders: list, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
-        """``cross`` of every order in ``orders`` in one pass, one matrix each.
+        """The kernel core: ``cross`` of every order in ``orders`` in one pass,
+        one matrix each.
 
         The planes and every intermediate live in ``work``, a Workspace of
         at least len(x) rows of (len(centers),), and each result is a view
         into it, valid until its next use. A caller walking blocks passes
-        one workspace to every block: the block program is fetched once per
-        call, and no block allocates or faults in pages the last returned.
-        Nothing is checked here: such a caller checks its orders, points and
-        centers once and calls this for each block.
-        """
-        # Each plane is one subtraction of two contiguous arrays, filled by
-        # broadcast copies: a broadcasting subtraction ran slower and made
-        # numpy allocate its iteration buffers at every call.
-        columns = np.ascontiguousarray(centers.T)
-        scratch = work.get("scratch", len(x))
-        planes = []
-        for i in range(self.dim):
-            plane = work.get(f"plane{i}", len(x))
-            np.copyto(plane, x[:, i, None])
-            np.copyto(scratch, columns[i])
-            planes.append(np.subtract(plane, scratch, out=plane))
-        return self._derivative_on_planes(orders, planes, work)
+        one workspace to every block: the cached ``_block_program`` is
+        fetched once per call, and no block allocates or faults in pages the
+        last returned. Nothing is checked here: such a caller checks its
+        orders, points and centers once and calls this for each block.
 
-    def gram(self, points: np.ndarray, out=None) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences,
-        written into ``out`` when it is given (see ``cross``)."""
-        return self.cross((0,) * self.dim, points, points, out=out)
-
-    def _at_points(self, alpha: tuple[int, ...], x) -> float | np.ndarray:
-        x = self._check_points(x)
-        flat = x.reshape(-1, self.dim)
-        planes = [flat[:, i] for i in range(self.dim)]
-        out = self._derivative_on_planes([alpha], planes, Workspace(len(flat)))[0]
-        out = out.reshape(x.shape[:-1])
-        return float(out) if out.ndim == 0 else out
-
-    def _derivative_on_planes(self, orders: list, planes: list, work: Workspace) -> list:
-        """The kernel core: the derivative of each order in ``orders`` at the
-        differences whose axis-i components are ``planes[i]``, each of r rows.
-
-        A block runs the cached ``_block_program``, fetched once per call.
         One pass serves every order. ``t`` is built once. Each profile
         derivative j that any order's terms use is computed once, into an
         array of its own, shared by those orders (exponents 1/2 and -1/2 by
@@ -242,17 +217,25 @@ class Kernel:
         same bits whatever other orders share the pass (``a * b`` and ``b *
         a`` round alike). ``t`` is summed axis by axis in increasing order,
         which reproduces ``np.sum(x * x, axis=-1)`` bit for bit.
-
-        Every array is written into the first r rows of ``work``, and each
-        result is a view into it, valid until the workspace's next use.
         """
         if work.key != (self, tuple(orders)):  # the first block of a call
             work.key, work.program = (self, tuple(orders)), _block_program(self, tuple(orders))
         shift, steps, order_terms = work.program
-        r = len(planes[0])
+        r = len(x)
+        # Each plane is one subtraction of two contiguous arrays, filled by
+        # broadcast copies: a broadcasting subtraction ran slower and made
+        # numpy allocate its iteration buffers at every call.
+        columns = np.ascontiguousarray(centers.T)
+        scratch = work.get("scratch", r)
+        planes = []
+        for i in range(self.dim):
+            plane = work.get(f"plane{i}", r)
+            np.copyto(plane, x[:, i, None])
+            np.copyto(scratch, columns[i])
+            planes.append(np.subtract(plane, scratch, out=plane))
         t = np.multiply(planes[0], planes[0], out=work.get("t", r))
         for plane in planes[1:]:
-            t += np.multiply(plane, plane, out=work.get("scratch", r))
+            t += np.multiply(plane, plane, out=scratch)
         t += shift
         profiles = {}
         for kind, args, coeffs, js, roles in steps:
@@ -279,6 +262,11 @@ class Kernel:
             results.append(out)
         return results
 
+    def gram(self, points: np.ndarray, out=None) -> np.ndarray:
+        """Symmetric matrix of kernel values on all pairwise differences,
+        written into ``out`` when it is given (see ``cross``)."""
+        return self.cross((0,) * self.dim, points, points, out=out)
+
     def _check_order(self, alpha) -> tuple[int, ...]:
         alpha = _check_multi_index(alpha, self.dim)
         if sum(alpha) > MAX_DERIVATIVE_ORDER:
@@ -288,9 +276,8 @@ class Kernel:
         return alpha
 
     def _check_points(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 and self.dim == 1:
-            x = x.reshape(1)
+        # A scalar is a point of dimension 1.
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValueError(f"point dimension {x.shape[-1]} != kernel dim {self.dim}")
         if not np.all(np.isfinite(x)):
@@ -370,17 +357,29 @@ def derivative_terms(dim: int, alpha: tuple[int, ...]) -> tuple[RadialProfileTer
 
 
 @lru_cache(maxsize=None)
+def compiled_terms(dim: int, alpha: tuple[int, ...]) -> tuple:
+    """``derivative_terms(dim, alpha)`` as the kernel cores of both
+    precisions run it: per term, ``(j, monomials)``, where monomials is None
+    for the value's one term (profile_j itself, its polynomial being 1),
+    else one ``(coeff, ((axis, e), ...))`` per monomial, listing only the
+    axes of nonzero exponent."""
+    one = {(0,) * dim: 1.0}
+    return tuple((term.deriv_order, None if term.poly == one else tuple(
+        (coeff, tuple((axis, e) for axis, e in enumerate(expo) if e))
+        for expo, coeff in term.poly.items())) for term in derivative_terms(dim, alpha))
+
+
+@lru_cache(maxsize=None)
 def _block_program(kernel: Kernel, orders: tuple) -> tuple:
     """What the kernel core runs on each block: ``(c**2, steps, terms)``. A
     step ``(kind, args, coeffs, js, roles)`` writes profiles js ("exp",
     "pow" of exponent beta/2 - j, or "root": 1/2 and -1/2 from one sqrt)
     into roles (None: ``t``). gamma(-beta/2) * prod_{i<j} (beta/2 - i) is
     rounded once from 40 digits: ``math.gamma`` is up to 1.8 ulp off. Per
-    order, ``terms`` holds a role and its ``(j, monomials)``: None for the
-    value, else ``(coeff, (axis, e) factors)`` per monomial."""
+    order, ``terms`` holds a role and its ``compiled_terms``."""
     import mpmath
-    term_lists = [derivative_terms(kernel.dim, alpha) for alpha in orders]
-    js = sorted({term.deriv_order for terms in term_lists for term in terms})
+    term_lists = [compiled_terms(kernel.dim, alpha) for alpha in orders]
+    js = sorted({j for terms in term_lists for j, _ in terms})
     half, steps = mpmath.mpf(kernel.beta) / 2, {}
     for j, role in zip(js, [f"profile{j}" for j in js[:-1]] + [None]):
         if kernel.family is KernelFamily.GAUSSIAN:
@@ -393,11 +392,7 @@ def _block_program(kernel: Kernel, orders: tuple) -> tuple:
         key = "root" if kind == "root" else j
         fields = steps.get(key, (kind, (), (), (), ()))[1:]
         steps[key] = (kind, *(f + (v,) for f, v in zip(fields, (arg, coeff, j, role))))
-    one = {(0,) * kernel.dim: 1.0}
-    terms = tuple((f"order{k}", tuple((term.deriv_order, None if term.poly == one else tuple(
-        (coeff, tuple((axis, e) for axis, e in enumerate(expo) if e))
-        for expo, coeff in term.poly.items())) for term in term_list))
-        for k, term_list in enumerate(term_lists))
+    terms = tuple((f"order{k}", term_list) for k, term_list in enumerate(term_lists))
     shift = kernel.c**2 if kernel.family is KernelFamily.MULTIQUADRIC else 0.0
     return shift, tuple(steps.values()), terms
 

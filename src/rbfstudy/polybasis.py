@@ -8,7 +8,7 @@ solvability of the augmented interpolation system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -83,24 +83,34 @@ class MonomialBasis:
             return np.zeros(x.shape[:-1] + (0,))
         return np.stack(cols, axis=-1)
 
+    def derivative_rule(self, alpha) -> list:
+        """D^alpha of each basis monomial, for the double and the mp path: None
+        where D^alpha removes it, else the integers it multiplies the
+        coefficient by (per axis, e down to e - alpha_i + 1) and the
+        exponents it leaves."""
+        alpha = tuple(int(a) for a in alpha)
+        rules = []
+        for expo in self.exponents:
+            if any(a > e for e, a in zip(expo, alpha)):
+                rules.append(None)
+            else:
+                factors = tuple(e - i for e, a in zip(expo, alpha) for i in range(a))
+                rules.append((factors, tuple(e - a for e, a in zip(expo, alpha))))
+        return rules
+
     def _derivative_monomials(self, coeffs: np.ndarray, alpha) -> list:
         """``(factor, exponents)`` of each monomial that D^alpha leaves with a
         nonzero coefficient, in basis order."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
-        alpha = tuple(int(a) for a in alpha)
         out = []
-        for coeff, expo in zip(coeffs, self.exponents):
-            factor = coeff
-            for e, a in zip(expo, alpha):
-                if a > e:
-                    factor = 0.0
-                    break
-                for i in range(a):
-                    factor *= e - i
+        for coeff, rule in zip(coeffs, self.derivative_rule(alpha)):
+            if rule is None:
+                continue
+            factor = prod(rule[0], start=coeff)  # coeff * k0 * k1 ..., in order
             if factor != 0.0:
-                out.append((factor, tuple(e - a for e, a in zip(expo, alpha))))
+                out.append((factor, rule[1]))
         return out
 
     def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray | float:

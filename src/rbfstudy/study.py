@@ -378,9 +378,7 @@ def _mp_measure(config, f, probes, inner_mask):
     per study; each level's mpf sups are cast to float. ``stats`` receives
     ``highprec.measure_level``'s."""
     core = highprec.MpCore(config.kernel, config.deriv_orders, config.solver_dps)
-    f_mp = highprec.approximand_on_probes(
-        core, f.centers.points, f.weights, f.poly_coeffs, probes, inner_mask
-    )
+    f_mp = highprec.approximand_on_probes(core, f, probes, inner_mask)
     inner = probes[inner_mask]
 
     def measure(nodes, stats):

@@ -89,6 +89,8 @@ KERNELS = [
     pytest.param(lambda dim: Kernel.multiquadric(1.0, 0.7, dim), id="mq1"),
     pytest.param(lambda dim: Kernel.multiquadric(-1.0, 0.7, dim), id="mq-1"),
     pytest.param(lambda dim: Kernel.multiquadric(3.0, 0.7, dim), id="mq3"),
+    # cpd order 3: p is quadratic, so D^alpha scales some monomials by 2
+    pytest.param(lambda dim: Kernel.multiquadric(5.0, 0.7, dim), id="mq5"),
 ]
 ALPHAS = {1: ((1,), (2,)), 2: ((1, 0), (0, 1), (1, 1), (2, 0))}
 
@@ -223,9 +225,7 @@ class _Pilot:
         return MpCore(self.config.kernel, self.config.deriv_orders, self.config.solver_dps)
 
     def f_on_probes(self, core):
-        f = self.f
-        return approximand_on_probes(core, f.centers.points, f.weights, f.poly_coeffs,
-                                     self.probes, self.inner_mask)
+        return approximand_on_probes(core, self.f, self.probes, self.inner_mask)
 
     def f_reference(self):
         """f at every probe (and each order at inner probes) by the per-entry
@@ -510,4 +510,11 @@ def test_shared_core_must_match_its_callers(mq_pilot, mismatch):
                   ((2,),) if mismatch == "orders" else config.deriv_orders, config.solver_dps)
     with pytest.raises(ValueError, match="MpCore"):
         mq_pilot.measure(0, core)
+    assert not core.memo and core.lookups == 0
+
+
+def test_approximand_core_must_match_the_kernel_of_f(mq_pilot):
+    core = MpCore(Kernel.gaussian(1.0, 1), mq_pilot.config.deriv_orders, DPS)
+    with pytest.raises(ValueError, match="MpCore"):
+        mq_pilot.f_on_probes(core)
     assert not core.memo and core.lookups == 0

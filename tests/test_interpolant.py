@@ -378,7 +378,9 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_full_tensor(self, dim, monkeypatch):
         rng = np.random.default_rng(90 + dim)
-        kernels = [Kernel.multiquadric(3.0, 0.4, dim), Kernel.gaussian(3.0, dim)]
+        # beta = 5 has cpd order 3, so D^alpha scales monomials of p by 2.
+        kernels = [Kernel.multiquadric(3.0, 0.4, dim), Kernel.gaussian(3.0, dim),
+                   Kernel.multiquadric(5.0, 0.4, dim)]
         alphas = [(0,) * dim] + multi_indices_up_to(dim, 2)
         # 4 probes of the 9 centers per block, so 23 probes end in a partial block.
         monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
@@ -463,6 +465,8 @@ class TestBlockedEvaluation:
             f.evaluate([[0.0, math.inf]])
         with pytest.raises(ValueError, match="dimension"):
             f.evaluate(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            f.evaluate(0.5)
         with pytest.raises(ValueError, match="finite"):
             f.evaluate_derivatives([], [[0.0, math.nan]])
 

@@ -9,6 +9,7 @@ import pytest
 from rbfstudy import interpolant as interpolant_module
 from rbfstudy import kernels as kernels_module
 from rbfstudy.geometry import PointSet
+from rbfstudy.highprec import MpCore
 from rbfstudy.interpolant import KernelExpansion
 from rbfstudy.kernels import (
     EVAL_BLOCK_PAIRS,
@@ -315,13 +316,22 @@ def _workspace_kernels(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_workspace_core_bit_identical_to_allocating_core(dim):
+def test_workspace_core_bit_identical_to_allocating_core(dim, monkeypatch):
     rng = np.random.default_rng(30 + dim)
     points = rng.uniform(-1.0, 1.0, size=(40, dim))
     centers = rng.uniform(-1.0, 1.0, size=(33, dim))
     grid = rng.uniform(-1.0, 1.0, size=(6, 5, dim))
     zero = (0,) * dim
+    # evaluate is a cross with one center: 4 points per block here, so 14
+    # points make 3 full blocks and a partial one of 2
+    batch = rng.uniform(-1.0, 1.0, size=(14, dim))
     for kernel in _workspace_kernels(dim):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4)
+            for alpha in [zero] + multi_indices_up_to(dim, 2):
+                assert np.array_equal(kernel.evaluate_derivative(alpha, batch),
+                                      _seed_at_points(kernel, alpha, batch))
+            assert np.array_equal(kernel.evaluate(batch), _seed_at_points(kernel, zero, batch))
         assert np.array_equal(kernel.gram(points), _seed_cross(kernel, zero, points, points))
         assert np.array_equal(kernel.evaluate(points), _seed_at_points(kernel, zero, points))
         assert np.array_equal(kernel.evaluate(grid), _seed_at_points(kernel, zero, grid))
@@ -473,6 +483,30 @@ def test_one_program_fetch_per_call_over_many_blocks(monkeypatch):
     assert calls == [((0, 0),)]
 
 
+def test_mp_and_double_cores_compile_each_order_once(monkeypatch):
+    kernel = Kernel.multiquadric(5.0, 0.3, 2)
+    orders = ((0, 0), (1, 0), (0, 1))
+    kernels_module.compiled_terms.cache_clear()
+    kernels_module._block_program.cache_clear()
+    calls = []
+    expand = kernels_module.derivative_terms
+
+    def counting(dim, alpha):
+        calls.append(alpha)
+        return expand(dim, alpha)
+
+    monkeypatch.setattr(kernels_module, "derivative_terms", counting)
+    MpCore(kernel, orders[1:], 30)
+    rng = np.random.default_rng(58)
+    centers = rng.uniform(-1.0, 1.0, size=(6, 2))
+    f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(6),
+                        rng.standard_normal(6))
+    f.evaluate_derivatives(orders, rng.uniform(-1.0, 1.0, size=(5, 2)))
+    # one compilation per order, which the second core reads from the cache
+    assert calls == list(orders)
+    assert kernels_module.compiled_terms.cache_info().hits == len(orders)
+
+
 def test_expansion_orders_bit_identical_to_per_block_reference(monkeypatch):
     # beta = 3: cpd order 2, so p is linear; the value takes p per block,
     # the first partials a constant and the second partials nothing.
@@ -524,6 +558,11 @@ def test_cross_checks_points_and_centers():
         kernel.cross((0, 0), good, [[0.0, math.nan]])
     with pytest.raises(ValueError, match="dimension"):
         kernel.cross((0, 0), np.zeros((3, 3)), good)
+    # a scalar is a point of dimension 1
+    with pytest.raises(ValueError, match="dimension 1 != kernel dim 2"):
+        kernel.cross((0, 0), 0.5, good)
+    with pytest.raises(ValueError, match="dimension 1 != kernel dim 2"):
+        kernel.evaluate(0.5)
 
 
 def test_evenness():

@@ -41,6 +41,28 @@ class TestMonomialBasis:
             MonomialBasis(0, 1)
 
 
+class TestDerivative:
+    def test_rule_of_a_quadratic_basis(self):
+        basis = MonomialBasis(2, 2)  # 1, x, y, x^2, xy, y^2
+        assert basis.derivative_rule((2, 0)) == [None, None, None, ((2, 1), (0, 0)), None, None]
+        assert basis.derivative_rule((1, 0)) == [
+            None, ((1,), (0, 0)), None, ((2,), (1, 0)), ((1,), (0, 1)), None]
+        assert basis.derivative_rule((0, 0))[4] == ((), (1, 1))
+
+    def test_derivatives_of_a_cubic(self):
+        # p = 1 + 3x^2 - xy + 2x^3 in 2D; p_x = 6x - y + 6x^2, p_xx = 6 + 12x
+        basis = MonomialBasis(2, 3)
+        coeffs = np.zeros(basis.size)
+        for expo, c in {(0, 0): 1.0, (2, 0): 3.0, (1, 1): -1.0, (3, 0): 2.0}.items():
+            coeffs[basis.exponents.index(expo)] = c
+        x = np.array([[0.5, 2.0], [-1.0, 0.25]])
+        assert np.array_equal(basis.evaluate_derivative(coeffs, (1, 0), x), [2.5, -0.25])
+        assert np.array_equal(basis.evaluate_derivative(coeffs, (2, 0), x), [12.0, -6.0])
+        assert basis.constant_derivative(coeffs, (3, 0)) == 12.0
+        assert basis.constant_derivative(coeffs, (0, 2)) == 0.0
+        assert basis.constant_derivative(coeffs, (1, 0)) is None
+
+
 class TestBasisMatrix:
     def test_constants_column(self):
         basis = MonomialBasis.for_cpd_order(1, 1)
