@@ -22,7 +22,7 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from rbfstudy.geometry import PointSet
-from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel, Workspace
+from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel
 from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 
 INTERPOLANT_FORMAT_VERSION = 1
@@ -122,39 +122,28 @@ class KernelExpansion:
         a point (dim,) or batch (..., dim): one result per order, with the
         same bits as one ``evaluate_derivative`` call per order.
 
-        The orders, probes and centers are checked once, here. The probes are
-        then walked in blocks of about EVAL_BLOCK_PAIRS point-center pairs, so
-        memory does not grow with the number of probes. Every block runs the
-        kernel core in one Workspace, allocated once per call: fresh
-        block-sized arrays per block would be returned to the kernel and
-        faulted in again, zero-filled, by the next block. One pass over a
-        block serves every order: the kernel core shares the block's
-        difference planes, ``t`` and profile derivatives among the orders and
-        gives each order the bits it has alone. The product with the weights
-        rounds by the block's rows, so the partition depends on the number of
-        centers only; each order's block goes through it as it would alone,
-        straight into the result. D^alpha p is resolved once per call (a
-        scalar, zero, or evaluated per block), and is all with no centers.
+        The probes are walked by ``Kernel.blocks``, in blocks of about
+        EVAL_BLOCK_PAIRS point-center pairs, so memory does not grow with the
+        number of probes. One pass over a block serves every order: the
+        kernel core shares the block's difference planes, ``t`` and profile
+        derivatives among the orders and gives each order the bits it has
+        alone. The product with the weights rounds by the block's rows, so
+        the partition depends on the number of centers only; each order's
+        block goes through it as it would alone, straight into the result.
+        D^alpha p is added once per call, over all probes, and skipped where
+        it vanishes; with no centers it is all of the result.
         """
-        kernel = self.kernel
-        orders = [kernel._check_order(alpha) for alpha in alphas]
-        x, centers = kernel._check_points(x), kernel._check_points(self.centers.points)
-        if not orders:
-            return []
+        kernel, alphas = self.kernel, list(alphas)
+        x = kernel._check_points(x)
         flat = x.reshape(-1, kernel.dim)
-        outs = [np.empty(len(flat)) for _ in orders]
-        polys = [self.basis.constant_derivative(self.poly_coeffs, alpha) for alpha in orders]
-        step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
-        work = Workspace(min(step, len(flat)), (len(centers),))
-        for start in range(0, len(flat), step):
-            block = flat[start:start + step]
-            crosses = kernel._cross(orders, block, centers, work)
-            for alpha, cross, poly, out in zip(orders, crosses, polys, outs):
-                value = np.dot(cross, self.weights, out=out[start:start + step])
-                if poly is None:
-                    value += self.basis.evaluate_derivative(self.poly_coeffs, alpha, block)
-                elif poly:
-                    value += poly
+        outs = [np.empty(len(flat)) for _ in alphas]
+        for rows, crosses in kernel.blocks(alphas, flat, self.centers.points):
+            for cross, out in zip(crosses, outs):
+                np.dot(cross, self.weights, out=out[rows])
+        for alpha, out in zip(alphas, outs):
+            poly = self.basis.evaluate_derivative(self.poly_coeffs, alpha, flat)
+            if not isinstance(poly, float):  # the scalar 0.0: D^alpha removes p
+                out += poly
         outs = [out.reshape(x.shape[:-1]) for out in outs]
         return [float(out) if out.ndim == 0 else out for out in outs]
 

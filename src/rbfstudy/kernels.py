@@ -56,14 +56,13 @@ class Workspace:
     Each array holds ``rows`` rows of ``shape``; a block of r <= rows rows
     works in the first r rows of each, which are contiguous. An array is
     allocated the first time a block asks for its role, so a workspace
-    holds only the arrays its derivative order uses, and later blocks
-    allocate nothing of block size and run the ``program`` the first fetched.
+    holds only the arrays its derivative orders use, and later blocks
+    allocate nothing of block size. ``Kernel.blocks`` sizes one per call.
     """
 
     def __init__(self, rows: int, shape: tuple[int, ...]):
         self.rows, self.shape = rows, tuple(shape)
         self._arrays: dict[str, np.ndarray] = {}
-        self.key = self.program = None
 
     def get(self, role: str, r: int) -> np.ndarray:
         """The first r rows of the array kept for ``role``."""
@@ -174,37 +173,53 @@ class Kernel:
     def cross(self, alpha, x, centers, out=None) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
 
-        x (n, dim) and centers (m, dim) give an (n, m) matrix, filled in row
-        blocks of about EVAL_BLOCK_PAIRS pairs that share one Workspace, so
-        the kernel core's arrays do not grow with the matrix and are
-        allocated once. Each block is built from one contiguous difference
-        plane per axis rather than an (n, m, dim) tensor. The order and the
-        points are checked once, not per block. The matrix is written into
-        ``out`` when it is given, an (n, m) array or view, and returned.
+        x (n, dim) and centers (m, dim) give an (n, m) matrix, filled block
+        by block from ``blocks``, so the kernel core's arrays do not grow
+        with the matrix. The matrix is written into ``out`` when it is
+        given, an (n, m) array or view, and returned.
         """
-        orders = [self._check_order(alpha)]
         x, centers = self._check_points(x), self._check_points(centers)
         if out is None:
             out = np.empty((len(x), len(centers)))
         elif out.shape != (len(x), len(centers)):
             raise ValueError(f"out has shape {out.shape}, expected {(len(x), len(centers))}")
+        for rows, (matrix,) in self.blocks([alpha], x, centers):
+            out[rows] = matrix
+        return out
+
+    def blocks(self, orders, x, centers):
+        """Walk the rows of x (n, dim) against centers (m, dim): yield
+        ``(rows, matrices)`` per block of about EVAL_BLOCK_PAIRS pairs, a
+        slice of the rows of x and the block's ``cross`` of each order in
+        ``orders``, in order.
+
+        The orders, points and centers are checked once, the cached
+        ``_block_program`` is fetched once, and every block runs it in one
+        Workspace, so no block allocates or faults in pages the last
+        returned. The matrices are views into that workspace, valid until
+        the next block. The partition depends on the number of centers only,
+        not on the orders.
+        """
+        program = _block_program(self, tuple(self._check_order(alpha) for alpha in orders))
+        x, centers = self._check_points(x), self._check_points(centers)
+        for points in (x, centers):
+            if points.ndim != 2:
+                raise ValueError(f"expected points of shape (n, {self.dim}), got {points.shape}")
         step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
         work = Workspace(min(step, len(x)), (len(centers),))
         for start in range(0, len(x), step):
-            out[start:start + step] = self._cross(orders, x[start:start + step], centers, work)[0]
-        return out
+            rows = slice(start, start + step)
+            yield rows, self._cross(program, x[rows], centers, work)
 
-    def _cross(self, orders: list, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
-        """The kernel core: ``cross`` of every order in ``orders`` in one pass,
-        one matrix each.
+    def _cross(self, program: tuple, x: np.ndarray, centers: np.ndarray, work: Workspace) -> list:
+        """The kernel core: ``cross`` of every order of a ``_block_program``
+        in one pass, one matrix each.
 
         The planes and every intermediate live in ``work``, a Workspace of
         at least len(x) rows of (len(centers),), and each result is a view
-        into it, valid until its next use. A caller walking blocks passes
-        one workspace to every block: the cached ``_block_program`` is
-        fetched once per call, and no block allocates or faults in pages the
-        last returned. Nothing is checked here: such a caller checks its
-        orders, points and centers once and calls this for each block.
+        into it, valid until its next use. Nothing is checked here:
+        ``blocks`` checks its orders, points and centers once and calls this
+        for each block.
 
         One pass serves every order. ``t`` is built once. Each profile
         derivative j that any order's terms use is computed once, into an
@@ -218,9 +233,7 @@ class Kernel:
         a`` round alike). ``t`` is summed axis by axis in increasing order,
         which reproduces ``np.sum(x * x, axis=-1)`` bit for bit.
         """
-        if work.key != (self, tuple(orders)):  # the first block of a call
-            work.key, work.program = (self, tuple(orders)), _block_program(self, tuple(orders))
-        shift, steps, order_terms = work.program
+        shift, steps, order_terms = program
         r = len(x)
         # Each plane is one subtraction of two contiguous arrays, filled by
         # broadcast copies: a broadcasting subtraction ran slower and made

@@ -88,7 +88,7 @@ class MonomialBasis:
         where D^alpha removes it, else the integers it multiplies the
         coefficient by (per axis, e down to e - alpha_i + 1) and the
         exponents it leaves."""
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
         rules = []
         for expo in self.exponents:
             if any(a > e for e, a in zip(expo, alpha)):
@@ -98,45 +98,29 @@ class MonomialBasis:
                 rules.append((factors, tuple(e - a for e, a in zip(expo, alpha))))
         return rules
 
-    def _derivative_monomials(self, coeffs: np.ndarray, alpha) -> list:
-        """``(factor, exponents)`` of each monomial that D^alpha leaves with a
-        nonzero coefficient, in basis order."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
-        out = []
-        for coeff, rule in zip(coeffs, self.derivative_rule(alpha)):
-            if rule is None:
-                continue
-            factor = prod(rule[0], start=coeff)  # coeff * k0 * k1 ..., in order
-            if factor != 0.0:
-                out.append((factor, rule[1]))
-        return out
-
     def evaluate_derivative(self, coeffs: np.ndarray, alpha, x: np.ndarray) -> np.ndarray | float:
         """Value of D^alpha of the polynomial with the given coefficients.
 
         The scalar 0.0 when D^alpha leaves no monomial with a nonzero
         coefficient, so adding it to an array allocates nothing.
         """
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.size,):
+            raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
         x = np.asarray(x, dtype=float)
         out = 0.0
-        for factor, expo in self._derivative_monomials(coeffs, alpha):
+        for coeff, rule in zip(coeffs, self.derivative_rule(alpha)):
+            if rule is None:
+                continue
+            factor = prod(rule[0], start=coeff)  # coeff * k0 * k1 ..., in order
+            if factor == 0.0:
+                continue
             term = np.full(x.shape[:-1], factor, dtype=float)
-            for j, e in enumerate(expo):
+            for j, e in enumerate(rule[1]):
                 if e:
                     term = term * x[..., j] ** e
             out = out + term
         return out
-
-    def constant_derivative(self, coeffs: np.ndarray, alpha) -> float | None:
-        """D^alpha of the polynomial as a float when it is constant (0.0 when
-        D^alpha leaves no monomial), else None. A constant is one monomial,
-        so it has the bits of every entry of ``evaluate_derivative``."""
-        monomials = self._derivative_monomials(coeffs, alpha)
-        if any(any(expo) for _, expo in monomials):
-            return None
-        return monomials[0][0] if monomials else 0.0
 
 
 def polynomial_space_dim(dim: int, m: int) -> int:

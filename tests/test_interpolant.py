@@ -9,6 +9,7 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from rbfstudy import interpolant as interpolant_module
+from rbfstudy import kernels as kernels_module
 from rbfstudy.geometry import CubeDomain, PointSet, generate_points
 from rbfstudy.interpolant import (
     RESOLVED_COND,
@@ -383,7 +384,7 @@ class TestBlockedEvaluation:
                    Kernel.multiquadric(5.0, 0.4, dim)]
         alphas = [(0,) * dim] + multi_indices_up_to(dim, 2)
         # 4 probes of the 9 centers per block, so 23 probes end in a partial block.
-        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
         for kernel in kernels:
             f = _random_expansion(kernel, rng, n_centers=9)
             f = KernelExpansion(kernel, f.centers, f.weights, rng.standard_normal(f.basis.size))
@@ -408,7 +409,7 @@ class TestBlockedEvaluation:
     def test_all_orders_in_one_pass_have_the_bits_of_one_order(self, dim, monkeypatch):
         rng = np.random.default_rng(100 + dim)
         # 4 probes of the 9 centers per block, so 23 probes end in a partial block.
-        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
         kernels = [
             Kernel.multiquadric(1.0, 0.4, dim),
             Kernel.multiquadric(-1.0, 0.4, dim),
@@ -433,13 +434,13 @@ class TestBlockedEvaluation:
         kernel = Kernel.multiquadric(1.0, 0.4, 2)
         f = _random_expansion(kernel, np.random.default_rng(105), n_centers=9)
         probes = np.random.default_rng(106).random((23, 2))
-        monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+        monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
         blocks = []
         cross = Kernel._cross
 
-        def recording(self, orders, x, centers, work):
+        def recording(self, program, x, centers, work):
             blocks.append(len(x))
-            return cross(self, orders, x, centers, work)
+            return cross(self, program, x, centers, work)
 
         monkeypatch.setattr(Kernel, "_cross", recording)
         f.evaluate_derivative((1, 0), probes)

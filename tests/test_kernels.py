@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from rbfstudy import interpolant as interpolant_module
 from rbfstudy import kernels as kernels_module
 from rbfstudy.geometry import PointSet
 from rbfstudy.highprec import MpCore
@@ -18,6 +17,7 @@ from rbfstudy.kernels import (
     MAX_DERIVATIVE_ORDER,
     UnsupportedOrderError,
     Workspace,
+    _block_program,
     _differentiate_terms,
     derivative_terms,
 )
@@ -367,9 +367,9 @@ def test_one_workspace_across_full_partial_and_full_blocks(dim):
     blocks = [rng.uniform(-1.0, 1.0, size=(rows, dim)) for rows in (11, 4, 11)]
     for kernel in _workspace_kernels(dim):
         for alpha in [(0,) * dim] + multi_indices_up_to(dim, 2):
-            work = Workspace(11, (17,))
+            program, work = _block_program(kernel, (alpha,)), Workspace(11, (17,))
             for block in blocks:
-                got = kernel._cross([alpha], block, centers, work)[0]
+                got = kernel._cross(program, block, centers, work)[0]
                 assert got.shape == (len(block), 17)
                 assert np.array_equal(got, _seed_cross(kernel, alpha, block, centers))
 
@@ -391,12 +391,12 @@ def test_workspace_cross_allocates_nothing_of_block_size():
     centers = rng.random((441, 2))
     rows = EVAL_BLOCK_PAIRS // len(centers)
     x = rng.random((rows, 2))
-    work = Workspace(rows, (len(centers),))
+    program, work = _block_program(kernel, ((1, 0),)), Workspace(rows, (len(centers),))
     # The first call allocates the workspace's arrays; a later block reuses them.
-    kernel._cross([(1, 0)], x, centers, work)
+    kernel._cross(program, x, centers, work)
     tracemalloc.start()
     try:
-        kernel._cross([(1, 0)], x, centers, work)
+        kernel._cross(program, x, centers, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -413,9 +413,9 @@ def test_multi_order_core_bit_identical_to_allocating_core(dim):
     blocks = [rng.uniform(-1.0, 1.0, size=(rows, dim)) for rows in (9, 4, 1, 9)]
     for kernel in _workspace_kernels(dim):
         for orders in order_lists(dim):
-            work = Workspace(9, (13,))
+            program, work = _block_program(kernel, tuple(orders)), Workspace(9, (13,))
             for block in blocks:
-                got = kernel._cross(orders, block, centers, work)
+                got = kernel._cross(program, block, centers, work)
                 assert len(got) == len(orders)
                 for alpha, matrix in zip(orders, got):
                     assert np.array_equal(matrix, _seed_cross(kernel, alpha, block, centers))
@@ -428,7 +428,8 @@ def test_multi_order_core_bit_identical_at_higher_orders():
     centers = rng.uniform(-1.0, 1.0, size=(19, 2))
     orders = [(2, 2), (4, 0), (1, 0), (1, 3), (3, 0), (0, 0), (0, 4)]
     for kernel in _workspace_kernels(2):
-        got = kernel._cross(orders, points, centers, Workspace(25, (19,)))
+        program = _block_program(kernel, tuple(orders))
+        got = kernel._cross(program, points, centers, Workspace(25, (19,)))
         for alpha, matrix in zip(orders, got):
             assert np.array_equal(matrix, _seed_cross(kernel, alpha, points, centers))
 
@@ -440,11 +441,11 @@ def test_workspace_multi_order_cross_allocates_nothing_of_block_size():
     rows = EVAL_BLOCK_PAIRS // len(centers)
     x = rng.random((rows, 2))
     work = Workspace(rows, (len(centers),))
-    orders = [(0, 0)] + multi_indices_up_to(2, 2)
-    kernel._cross(orders, x, centers, work)
+    program = _block_program(kernel, tuple([(0, 0)] + multi_indices_up_to(2, 2)))
+    kernel._cross(program, x, centers, work)
     tracemalloc.start()
     try:
-        kernel._cross(orders, x, centers, work)
+        kernel._cross(program, x, centers, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,7 +472,6 @@ def test_one_program_fetch_per_call_over_many_blocks(monkeypatch):
     f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9), [0.4])
     # 4 of the 23 rows per block: 6 blocks per call.
     monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
-    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
     calls = _count_programs(monkeypatch)
     f.evaluate_derivatives([(0, 0), (1, 0), (0, 1)], x)
     assert calls == [((0, 0), (1, 0), (0, 1))]
@@ -508,25 +508,27 @@ def test_mp_and_double_cores_compile_each_order_once(monkeypatch):
 
 
 def test_expansion_orders_bit_identical_to_per_block_reference(monkeypatch):
-    # beta = 3: cpd order 2, so p is linear; the value takes p per block,
-    # the first partials a constant and the second partials nothing.
-    kernel = Kernel.multiquadric(3.0, 0.4, 2)
+    # beta = 3: cpd order 2, so p is linear; the value takes p varying, the
+    # first partials a constant and the second partials nothing. beta = 7:
+    # cpd order 4, so p is cubic and its x ** 3 goes through numpy's pow.
     rng = np.random.default_rng(57)
-    centers = rng.uniform(-1.0, 1.0, size=(9, 2))
-    f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9),
-                        rng.standard_normal(3))
-    x = rng.uniform(-1.0, 1.0, size=(23, 2))
     orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
     # 4 probes per block, so 23 probes end in a partial block of 3.
-    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
-    got = f.evaluate_derivatives(orders, x)
-    for alpha, values in zip(orders, got):
-        expected = np.concatenate([
-            _seed_cross(kernel, alpha, x[start:start + 4], centers) @ f.weights
-            + f.basis.evaluate_derivative(f.poly_coeffs, alpha, x[start:start + 4])
-            for start in range(0, 23, 4)
-        ])
-        assert values.tobytes() == expected.tobytes()
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+    for beta, poly_size in [(3.0, 3), (7.0, 10)]:
+        kernel = Kernel.multiquadric(beta, 0.4, 2)
+        centers = rng.uniform(-1.0, 1.0, size=(9, 2))
+        f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9),
+                            rng.standard_normal(poly_size))
+        x = rng.uniform(-1.0, 1.0, size=(23, 2))
+        got = f.evaluate_derivatives(orders, x)
+        for alpha, values in zip(orders, got):
+            expected = np.concatenate([
+                _seed_cross(kernel, alpha, x[start:start + 4], centers) @ f.weights
+                + f.basis.evaluate_derivative(f.poly_coeffs, alpha, x[start:start + 4])
+                for start in range(0, 23, 4)
+            ])
+            assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("beta", [-3.0, -1.0, 1.0, 3.0, 5.0, 7.0, 0.5, 2.5])
@@ -563,6 +565,16 @@ def test_cross_checks_points_and_centers():
         kernel.cross((0, 0), 0.5, good)
     with pytest.raises(ValueError, match="dimension 1 != kernel dim 2"):
         kernel.evaluate(0.5)
+    # cross and gram take points and centers of shape (n, dim) only
+    kernel = Kernel.multiquadric(1.0, 1.0, 2)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+        kernel.cross((0, 0), [[0.1, 0.2]], [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+        kernel.cross((0, 0), [0.1, 0.2], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2, 3, 2\)"):
+        kernel.cross((0, 0), np.zeros((2, 3, 2)), good)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+        kernel.gram([0.1, 0.2])
 
 
 def test_evenness():

@@ -58,9 +58,9 @@ class TestDerivative:
         x = np.array([[0.5, 2.0], [-1.0, 0.25]])
         assert np.array_equal(basis.evaluate_derivative(coeffs, (1, 0), x), [2.5, -0.25])
         assert np.array_equal(basis.evaluate_derivative(coeffs, (2, 0), x), [12.0, -6.0])
-        assert basis.constant_derivative(coeffs, (3, 0)) == 12.0
-        assert basis.constant_derivative(coeffs, (0, 2)) == 0.0
-        assert basis.constant_derivative(coeffs, (1, 0)) is None
+        assert np.array_equal(basis.evaluate_derivative(coeffs, (3, 0), x), [12.0, 12.0])
+        zero = basis.evaluate_derivative(coeffs, (0, 2), x)
+        assert isinstance(zero, float) and zero == 0.0
 
 
 class TestBasisMatrix:

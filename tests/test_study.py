@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rbfstudy import highprec
-from rbfstudy import interpolant as interpolant_module
+from rbfstudy import kernels as kernels_module
 from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
 from rbfstudy.cli import EXIT_PARTIAL, main
 from rbfstudy.geometry import CubeDomain, uniform_grid
@@ -594,7 +594,7 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
 def test_double_measure_matches_separate_value_and_derivative_sweeps(overrides, monkeypatch):
     # Blocks of a few rows, so the outer, inner and all-probe sweeps are
     # partitioned differently and the sums of ``@ weights`` round apart.
-    monkeypatch.setattr(interpolant_module, "EVAL_BLOCK_PAIRS", 7 * 25 + 3)
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 7 * 25 + 3)
     defaults = dict(domain=CubeDomain.unit(2), spacings=(0.5, 0.25), smoothness_order=3,
                     probe_resolution=31, fill_resolution=16)
     config = tiny_config(**{**defaults, **overrides})
