@@ -12,7 +12,6 @@ from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 from rbfstudy.geometry import (
     CubeDomain,
     PointSet,
-    coverage_check,
     fill_distance,
     generate_points,
     uniform_grid,
@@ -51,7 +50,6 @@ __all__ = [
     "is_determining_set",
     "CubeDomain",
     "PointSet",
-    "coverage_check",
     "fill_distance",
     "generate_points",
     "uniform_grid",

@@ -11,7 +11,6 @@ outputs, never derived from theory.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -324,10 +323,6 @@ def fit_report_dict(fit, n_samples: int, regime_counts: dict | None = None) -> d
         "n_samples": n_samples,
         "regime_counts": dict(regime_counts or {}),
     }
-
-
-def fit_report_json(fit, n_samples: int, regime_counts: dict | None = None) -> str:
-    return json.dumps(fit_report_dict(fit, n_samples, regime_counts), indent=2, sort_keys=True)
 
 
 def decay_exponent(fit) -> float:

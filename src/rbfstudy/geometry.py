@@ -3,15 +3,12 @@
 The fill distance (the largest hole a domain point can sit in, measured to
 the nearest node) is estimated on a dense deterministic probe lattice,
 searched exactly by a tree of lattice tiles, each of which keeps only the
-nodes that can be nearest to one of its probes; the subcube-coverage check
-samples the quantified coverage condition on a finite lattice of subcube
-positions. Node generators produce the grids, Halton sequences, and seeded
-random clouds used by refinement studies.
+nodes that can be nearest to one of its probes. Node generators produce the
+grids, Halton sequences, and seeded random clouds used by refinement studies.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,22 +96,6 @@ class PointSet:
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         return cls(pts.shape[1], pts)
-
-    def save_csv(self, path) -> None:
-        """One point per row, coordinates only, no header."""
-        with open(path, "w", newline="\n") as fh:
-            for row in self.points:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "PointSet":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        return cls.from_array(np.asarray(rows, dtype=float))
 
 
 def uniform_grid(domain: CubeDomain, points_per_axis: int) -> np.ndarray:
@@ -250,51 +231,6 @@ def _compact(cand: np.ndarray, parents: np.ndarray, within: np.ndarray, pad: int
     out = np.full((len(within), counts.max()), pad, dtype=np.intp)
     out[rows, slots] = cand[parents[rows], cols]
     return out
-
-
-def coverage_check(domain: CubeDomain, nodes: PointSet, d: float) -> bool:
-    """Whether every sampled subcube of side 2d contains a node.
-
-    Subcube positions run over the half-step lattice (step d per axis,
-    flush to both faces of the domain). This finitely samples the
-    continuum condition "every subcube of side 2d contains a node", so a
-    True result is necessary but not sufficient; halving d tightens it.
-    """
-    if nodes.dim != domain.dim:
-        raise ValueError(f"node dim {nodes.dim} != domain dim {domain.dim}")
-    if not (0.0 < 2.0 * d <= domain.side * (1.0 + 1e-12)):
-        raise ValueError(f"need 0 < 2d <= side, got d={d}, side={domain.side}")
-    tol = 1e-12 * max(domain.side, 1.0)
-    max_start = domain.side - 2.0 * d
-
-    starts = []
-    k = 0
-    while k * d <= max_start + tol:
-        starts.append(k * d)
-        k += 1
-    if not starts or starts[-1] < max_start - tol:
-        starts.append(max_start)
-
-    pts = nodes.points
-    # Per-axis membership of each node in each candidate interval.
-    axis_masks = []
-    for a in range(domain.dim):
-        lo = domain.lower[a]
-        coords = pts[:, a]
-        masks = np.array(
-            [(coords >= lo + s - tol) & (coords <= lo + s + 2.0 * d + tol) for s in starts]
-        )
-        axis_masks.append(masks)
-
-    for combo in itertools.product(range(len(starts)), repeat=domain.dim):
-        mask = axis_masks[0][combo[0]]
-        for a in range(1, domain.dim):
-            mask = mask & axis_masks[a][combo[a]]
-            if not mask.any():
-                break
-        if not mask.any():
-            return False
-    return True
 
 
 def halton_points(count: int, dim: int) -> np.ndarray:

@@ -13,7 +13,6 @@ with the moment conditions that annihilate the polynomial space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,6 @@ import scipy.linalg.lapack
 from rbfstudy.geometry import PointSet
 from rbfstudy.kernels import EVAL_BLOCK_PAIRS, Kernel
 from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
-
-INTERPOLANT_FORMAT_VERSION = 1
 
 # Past this 2-norm condition estimate the factorization is numerically
 # meaningless in double precision and the solve is refused. The estimate
@@ -42,6 +39,10 @@ DEFAULT_COND_LIMIT = 1e18
 # that reading in place, from the triangle of its one array that still
 # holds the system, after the refinement steps that read that triangle.
 RESOLVED_COND = 1e13
+
+# Moment-condition residual, relative to 1 + |weights|, past which
+# ``KernelExpansion.native_norm`` refuses the weights.
+MOMENT_TOL = 1e-8
 
 
 class SingularSystemError(RuntimeError):
@@ -131,10 +132,14 @@ class KernelExpansion:
         the partition depends on the number of centers only; each order's
         block goes through it as it would alone, straight into the result.
         D^alpha p is added once per call, over all probes, and skipped where
-        it vanishes; with no centers it is all of the result.
+        it vanishes; with no centers it is all of the result. The probes are
+        checked once, so with no orders bad probes still raise, and no block
+        is walked.
         """
         kernel, alphas = self.kernel, list(alphas)
         x = kernel._check_points(x)
+        if not alphas:
+            return []
         flat = x.reshape(-1, kernel.dim)
         outs = [np.empty(len(flat)) for _ in alphas]
         for rows, crosses in kernel.blocks(alphas, flat, self.centers.points):
@@ -155,16 +160,16 @@ class KernelExpansion:
             np.linalg.norm(basis_matrix(self.basis, self.centers.points).T @ self.weights)
         )
 
-    def native_norm(self, moment_tol: float = 1e-8) -> float:
+    def native_norm(self) -> float:
         """Native-space semi-norm sqrt(a^T A a) on the centers.
 
         The polynomial part contributes nothing. Raises if the moment
-        conditions are violated beyond ``moment_tol`` (relative to the
+        conditions are violated beyond MOMENT_TOL (relative to the
         weight norm) or if the quadratic form is negative beyond roundoff,
         which signals a kernel sign misconfiguration.
         """
         wnorm = float(np.linalg.norm(self.weights))
-        if self.moment_residual() > moment_tol * (1.0 + wnorm):
+        if self.moment_residual() > MOMENT_TOL * (1.0 + wnorm):
             raise ValueError(
                 f"moment-condition residual {self.moment_residual():.3e} exceeds tolerance"
             )
@@ -180,42 +185,6 @@ class Interpolant(KernelExpansion):
     condition estimate of the system that gave its weights."""
 
     cond_estimate: float = float("nan")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": INTERPOLANT_FORMAT_VERSION,
-            "kernel": self.kernel.to_dict(),
-            "nodes": self.centers.points.tolist(),
-            "coeffs": self.weights.tolist(),
-            "poly_coeffs": self.poly_coeffs.tolist(),
-            "basis_order": "grlex",
-            "cond_estimate": self.cond_estimate,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Interpolant":
-        if d.get("version") != INTERPOLANT_FORMAT_VERSION:
-            raise ValueError(f"unsupported interpolant format version {d.get('version')!r}")
-        if d.get("basis_order", "grlex") != "grlex":
-            raise ValueError(f"unsupported basis order {d['basis_order']!r}")
-        kernel = Kernel.from_dict(d["kernel"])
-        return cls(
-            kernel,
-            PointSet.from_array(np.asarray(d["nodes"], dtype=float)),
-            np.asarray(d["coeffs"], dtype=float),
-            np.asarray(d["poly_coeffs"], dtype=float),
-            float(d.get("cond_estimate", float("nan"))),
-        )
-
-    def save_json(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "Interpolant":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def assemble_system(kernel: Kernel, nodes: PointSet) -> tuple[np.ndarray, MonomialBasis]:

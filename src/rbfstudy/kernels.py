@@ -166,7 +166,7 @@ class Kernel:
         of a ``cross`` with one center at the origin (``x - 0.0`` is ``x``).
         """
         x = self._check_points(x)
-        out = self.cross(alpha, x.reshape(-1, self.dim), np.zeros((1, self.dim)))
+        out = self._fill(alpha, x.reshape(-1, self.dim), np.zeros((1, self.dim)))
         out = out.reshape(x.shape[:-1])
         return float(out) if out.ndim == 0 else out
 
@@ -178,7 +178,19 @@ class Kernel:
         with the matrix. The matrix is written into ``out`` when it is
         given, an (n, m) array or view, and returned.
         """
-        x, centers = self._check_points(x), self._check_points(centers)
+        return self._fill(alpha, self._check_points(x), self._check_points(centers), out)
+
+    def gram(self, points: np.ndarray, out=None) -> np.ndarray:
+        """Symmetric matrix of kernel values on all pairwise differences,
+        written into ``out`` when it is given (see ``cross``)."""
+        points = self._check_points(points)
+        return self._fill((0,) * self.dim, points, points, out)
+
+    def _fill(self, alpha, x: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
+        """``cross`` of points and centers that ``_check_points`` passed."""
+        for points in (x, centers):
+            if points.ndim != 2:
+                raise ValueError(f"expected points of shape (n, {self.dim}), got {points.shape}")
         if out is None:
             out = np.empty((len(x), len(centers)))
         elif out.shape != (len(x), len(centers)):
@@ -193,18 +205,15 @@ class Kernel:
         slice of the rows of x and the block's ``cross`` of each order in
         ``orders``, in order.
 
-        The orders, points and centers are checked once, the cached
-        ``_block_program`` is fetched once, and every block runs it in one
-        Workspace, so no block allocates or faults in pages the last
-        returned. The matrices are views into that workspace, valid until
-        the next block. The partition depends on the number of centers only,
-        not on the orders.
+        The orders are checked and the cached ``_block_program`` is fetched
+        once, and every block runs it in one Workspace, so no block
+        allocates or faults in pages the last returned. The points are not
+        checked here: the caller passes finite arrays of shape (n, dim) and
+        (m, dim), checked once per call by ``_check_points``. The matrices
+        are views into the workspace, valid until the next block. The
+        partition depends on the number of centers only, not on the orders.
         """
         program = _block_program(self, tuple(self._check_order(alpha) for alpha in orders))
-        x, centers = self._check_points(x), self._check_points(centers)
-        for points in (x, centers):
-            if points.ndim != 2:
-                raise ValueError(f"expected points of shape (n, {self.dim}), got {points.shape}")
         step = max(1, EVAL_BLOCK_PAIRS // max(1, len(centers)))
         work = Workspace(min(step, len(x)), (len(centers),))
         for start in range(0, len(x), step):
@@ -218,8 +227,7 @@ class Kernel:
         The planes and every intermediate live in ``work``, a Workspace of
         at least len(x) rows of (len(centers),), and each result is a view
         into it, valid until its next use. Nothing is checked here:
-        ``blocks`` checks its orders, points and centers once and calls this
-        for each block.
+        ``blocks`` checks its orders once and calls this for each block.
 
         One pass serves every order. ``t`` is built once. Each profile
         derivative j that any order's terms use is computed once, into an
@@ -274,11 +282,6 @@ class Kernel:
                     out += value
             results.append(out)
         return results
-
-    def gram(self, points: np.ndarray, out=None) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences,
-        written into ``out`` when it is given (see ``cross``)."""
-        return self.cross((0,) * self.dim, points, points, out=out)
 
     def _check_order(self, alpha) -> tuple[int, ...]:
         alpha = _check_multi_index(alpha, self.dim)

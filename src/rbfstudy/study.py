@@ -593,24 +593,34 @@ def read_rows_csv(path) -> list[dict]:
     """Read a rows CSV back into a list of per-row dicts.
 
     Raises ValueError naming the missing columns when the header is not
-    that of a rows CSV.
+    that of a rows CSV, and naming the file and line of a row whose field
+    count differs from the header's or whose numeric field does not parse.
     """
+    numbers = dict.fromkeys(("d", "beta", "c", "sup_error", "norm_f", "cond_estimate"), float)
+    numbers.update(level=int, N=int)
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [column for column in CSV_HEADER.split(",") if column not in header]
         if missing:
             raise ValueError(f"{path} is not a rows CSV: missing columns {', '.join(missing)}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             values = line.split(",")
+            if len(values) != len(header):
+                raise ValueError(
+                    f"{path} line {number}: {len(values)} fields, the header has {len(header)}"
+                )
             row = dict(zip(header, values))
-            for key in ("d", "beta", "c", "sup_error", "norm_f", "cond_estimate"):
-                row[key] = float(row[key])
-            row["level"] = int(row["level"])
-            row["N"] = int(row["N"])
+            for key, kind in numbers.items():
+                try:
+                    row[key] = kind(row[key])
+                except ValueError:
+                    raise ValueError(
+                        f"{path} line {number}: {key} {row[key]!r} is not a number"
+                    ) from None
             out.append(row)
     return out
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from rbfstudy.bounds import (
     fit_gaussian_rate,
     fit_mq_rate,
     fit_report_dict,
-    fit_report_json,
     gaussian_bound,
     gorny_bound,
     gorny_oracle_check,
@@ -273,10 +271,3 @@ class TestFitReports:
             "n_samples": 4,
             "regime_counts": {"small-d": 3, "large-d": 1},
         }
-
-    def test_gaussian_report_json_parses(self):
-        fit = GaussianRateFit(1.0, 0.4, 1.1, 0.97)
-        parsed = json.loads(fit_report_json(fit, 5))
-        assert parsed["model"] == "gaussian"
-        assert parsed["params"] == {"prefactor": 1.0, "scale": 0.4, "rate": 1.1}
-        assert parsed["regime_counts"] == {}

@@ -221,6 +221,27 @@ def test_fit_refuses_a_file_that_is_not_a_rows_csv(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda fields: fields[:-1], "10 fields, the header has 11"),
+        (lambda fields: fields + ["1.0"], "12 fields, the header has 11"),
+        (lambda fields: fields[:7] + ["abc"] + fields[8:], "sup_error 'abc' is not a number"),
+    ],
+    ids=["short-row", "long-row", "non-numeric-sup-error"],
+)
+def test_fit_refuses_a_malformed_row_naming_its_line(tmp_path, capsys, edit, message):
+    lines = (GOLDEN / "pilot_mq" / "rows.csv").read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--rows", str(rows), "--model", "mq"])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rbfstudy fit: {rows} line 3: {message}\n"
+
+
 def test_gorny_subcommand(capsys):
     code = main(["gorny", "--trials", "100", "--seed", "3"])
     assert code == EXIT_OK

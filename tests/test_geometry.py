@@ -12,7 +12,6 @@ import rbfstudy
 from rbfstudy.geometry import (
     CubeDomain,
     PointSet,
-    coverage_check,
     fill_distance,
     generate_points,
     halton_points,
@@ -42,15 +41,6 @@ class TestDomainsAndPointSets:
         assert ps.points[0, 0] == 0.1
         with pytest.raises(ValueError):
             ps.points[0, 0] = 3.0
-
-    def test_csv_round_trip(self, tmp_path):
-        pts = PointSet.from_array(np.random.default_rng(0).random((7, 2)))
-        path = tmp_path / "points.csv"
-        pts.save_csv(path)
-        text = path.read_text()
-        assert "\r" not in text and not text.startswith("x")  # no header, LF only
-        loaded = PointSet.load_csv(path)
-        assert np.array_equal(loaded.points, pts.points)
 
 
 class TestFillDistance:
@@ -221,39 +211,10 @@ def test_import_leaves_scipy_spatial_out():
     assert out.stdout.strip() == "False"
 
 
-class TestCoverageCheck:
-    def test_single_subcube_contains_point(self):
-        domain = CubeDomain.unit(1)
-        assert coverage_check(domain, PointSet.from_array([[0.5]]), 0.5)
-
-    def test_detects_empty_subcube(self):
-        domain = CubeDomain.unit(1)
-        assert not coverage_check(domain, PointSet.from_array([[0.1]]), 0.25)
-
-    def test_2d_grid_with_boundary(self):
-        domain = CubeDomain.unit(2)
-        nodes = generate_points(domain, "grid", spacing=0.5)
-        assert coverage_check(domain, nodes, 0.5)
-
-    def test_d_out_of_range(self):
-        domain = CubeDomain.unit(1)
-        nodes = PointSet.from_array([[0.5]])
-        with pytest.raises(ValueError):
-            coverage_check(domain, nodes, 0.0)
-        with pytest.raises(ValueError):
-            coverage_check(domain, nodes, 0.6)
-
-    def test_coverage_implies_fill_bound(self):
-        rng = np.random.default_rng(13)
-        domain = CubeDomain.unit(2)
-        for _ in range(10):
-            nodes = generate_points(
-                domain, "random", count=40, seed=int(rng.integers(2**31))
-            )
-            for d in (0.2, 0.3):
-                if coverage_check(domain, nodes, d):
-                    fill = fill_distance(domain, nodes, 64)
-                    assert fill <= 2.0 * d * math.sqrt(2.0) + 1e-12
+def test_every_exported_name_resolves():
+    assert len(set(rbfstudy.__all__)) == len(rbfstudy.__all__)
+    for name in rbfstudy.__all__:
+        assert hasattr(rbfstudy, name), name
 
 
 class TestGeneratePoints:
@@ -322,5 +283,3 @@ def test_three_dimensional_paths():
     fill = fill_distance(domain, nodes)
     expected = 0.25 * math.sqrt(3.0)
     assert abs(fill - expected) <= math.sqrt(3.0) / 32
-    assert coverage_check(domain, nodes, 0.5)
-    assert not coverage_check(domain, PointSet.from_array([[0.1, 0.1, 0.1]]), 0.25)

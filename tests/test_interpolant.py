@@ -449,6 +449,24 @@ class TestBlockedEvaluation:
         f.evaluate_derivatives(multi_indices_up_to(2, 2), probes)
         assert one == [4] * 5 + [3] and blocks == one
 
+    def test_no_orders_walk_no_block(self, monkeypatch):
+        kernel = Kernel.multiquadric(1.0, 0.4, 2)
+        f = _random_expansion(kernel, np.random.default_rng(107), n_centers=7)
+        probes = np.random.default_rng(108).random((50, 2))
+        monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 14)
+        blocks = []
+        cross = Kernel._cross
+
+        def recording(self, program, x, centers, work):
+            blocks.append(len(x))
+            return cross(self, program, x, centers, work)
+
+        monkeypatch.setattr(Kernel, "_cross", recording)
+        assert f.evaluate_derivatives([], probes) == []
+        assert blocks == []
+        f.evaluate_derivatives([(1, 0)], probes)
+        assert blocks == [2] * 25
+
     @pytest.mark.parametrize("bad", [(7, 0), (-1, 0), (1,)])
     @pytest.mark.parametrize("count", [0, 3])
     def test_rejects_bad_orders_whatever_the_probe_count(self, bad, count):
@@ -574,49 +592,3 @@ class TestResidualExpansion:
                 assert norm_res <= norm_f * (1.0 + 1e-9)
                 pythagoras = abs(norm_f**2 - norm_s**2 - norm_res**2)
                 assert pythagoras <= 1e-6 * max(norm_f**2, 1e-30)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(80)
-        kernel = Kernel.multiquadric(1.0, 0.5, 2)
-        nodes = generate_points(CubeDomain.unit(2), "halton", count=12)
-        interp = solve(InterpolationProblem(kernel, nodes, rng.standard_normal(12)))
-        path = tmp_path / "interp.json"
-        interp.save_json(path)
-        loaded = Interpolant.load_json(path)
-        assert loaded.kernel == interp.kernel
-        probes = rng.random((20, 2))
-        assert np.array_equal(
-            np.atleast_1d(loaded.evaluate(probes)), np.atleast_1d(interp.evaluate(probes))
-        )
-        assert loaded.cond_estimate == interp.cond_estimate
-
-    def test_version_check(self):
-        kernel = Kernel.gaussian(1.0, 1)
-        interp = Interpolant(kernel, PointSet.from_array([[0.0]]), [1.0], [])
-        doc = interp.to_json_dict()
-        doc["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            Interpolant.from_json_dict(doc)
-
-    @pytest.mark.parametrize(
-        "kernel, match",
-        [
-            ({"family": "multiquadric", "beta": 1.0, "c": 0.5, "C": 2.0, "dim": 1},
-             "unknown config key kernel.C$"),
-            ({"family": "gaussian", "beta": 1.0, "c": 3.0, "dim": 1}, "kernel.c"),
-        ],
-        ids=["unknown-key", "gaussian-c"],
-    )
-    def test_kernel_keys_in_file_checked(self, kernel, match):
-        doc = Interpolant(Kernel.gaussian(1.0, 1), PointSet.from_array([[0.0]]), [1.0], []).to_json_dict()
-        doc["kernel"] = kernel
-        with pytest.raises(ValueError, match=match):
-            Interpolant.from_json_dict(doc)
-
-    def test_node_dimension_mismatch_in_file_rejected(self):
-        doc = Interpolant(Kernel.gaussian(1.0, 1), PointSet.from_array([[0.0]]), [1.0], []).to_json_dict()
-        doc["kernel"] = Kernel.gaussian(1.0, 2).to_dict()
-        with pytest.raises(ValueError, match="dim"):
-            Interpolant.from_json_dict(doc)

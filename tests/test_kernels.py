@@ -577,6 +577,38 @@ def test_cross_checks_points_and_centers():
         kernel.gram([0.1, 0.2])
 
 
+def test_one_finiteness_pass_per_point_array_per_call(monkeypatch):
+    kernel = Kernel.multiquadric(1.0, 0.3, 2)
+    rng = np.random.default_rng(59)
+    centers = rng.uniform(-1.0, 1.0, size=(9, 2))
+    x = rng.uniform(-1.0, 1.0, size=(23, 2))
+    f = KernelExpansion(kernel, PointSet.from_array(centers), rng.standard_normal(9), [0.4])
+    # 4 of the 23 rows per block: the checks must not follow the blocks.
+    monkeypatch.setattr(kernels_module, "EVAL_BLOCK_PAIRS", 4 * 9 + 3)
+    passes = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        passes.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    calls = [
+        (lambda: kernel.evaluate(x), [(23, 2)]),
+        (lambda: kernel.evaluate_derivative((1, 0), x[0]), [(2,)]),
+        (lambda: kernel.cross((1, 0), x, centers), [(23, 2), (9, 2)]),
+        (lambda: kernel.gram(x), [(23, 2)]),
+        (lambda: f.evaluate(x), [(23, 2)]),
+        (lambda: f.evaluate_derivative((0, 1), x), [(23, 2)]),
+        (lambda: f.evaluate_derivatives([(0, 0), (1, 0), (0, 1)], x), [(23, 2)]),
+        (lambda: f.evaluate_derivatives([], x), [(23, 2)]),
+    ]
+    for call, expected in calls:
+        passes.clear()
+        call()
+        assert passes == expected
+
+
 def test_evenness():
     rng = np.random.default_rng(7)
     for kernel in sample_kernels():

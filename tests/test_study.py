@@ -629,3 +629,38 @@ def test_alpha_tag_format():
     assert alpha_tag((1,)) == "1"
     assert alpha_tag((1, 0)) == "1-0"
     assert alpha_tag((0, 2)) == "0-2"
+
+
+def _gaussian_pilot(scale, solver_dps):
+    """The Gaussian pilot with every length multiplied by ``scale`` (beta
+    divided by its square), solved at ``solver_dps``."""
+    doc = json.loads((FIXTURES / "pilot_gaussian.json").read_text())
+    doc["domain"]["lower"] = [scale * v for v in doc["domain"]["lower"]]
+    doc["domain"]["side"] *= scale
+    doc["approximand"]["centers"]["points"] = [
+        [scale * v for v in point] for point in doc["approximand"]["centers"]["points"]
+    ]
+    doc["refinement"]["spacings"] = [scale * v for v in doc["refinement"]["spacings"]]
+    doc["delta"] *= scale
+    doc["kernel"]["beta"] /= scale**2
+    doc["tolerances"]["solver_dps"] = solver_dps
+    return StudyConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("solver_dps", [None, 50])
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_rescaled_gaussian_pilot_reproduces_its_rows(scale, solver_dps):
+    # x -> s x with beta -> beta / s^2 maps the study onto itself, and each
+    # step scales by a power of two: d scales by s, the value's sup error,
+    # the native norm and the condition are unchanged, and a first
+    # derivative's sup error scales by 1 / s, all bit for bit.
+    rows = run_study(_gaussian_pilot(1.0, solver_dps)).rows
+    scaled = run_study(_gaussian_pilot(scale, solver_dps)).rows
+    assert len(scaled) == len(rows) == 8
+    for row, twin in zip(rows, scaled):
+        assert (twin.level, twin.n_points) == (row.level, row.n_points)
+        assert twin.alpha_tag == row.alpha_tag
+        assert twin.d == scale * row.d
+        assert (twin.norm_f, twin.cond_estimate) == (row.norm_f, row.cond_estimate)
+        factor = 1.0 if row.alpha_tag == alpha_tag((0,)) else scale
+        assert factor * twin.sup_error == row.sup_error
