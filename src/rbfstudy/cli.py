@@ -63,20 +63,14 @@ def _cmd_run(args) -> int:
     write_summary_json(result, report, summary_path)
 
     if args.verbose:
-        for row in result.rows:
-            if row.alpha_tag == VALUE_TAG:
-                print(
-                    f"level {row.level}: d={row.d:.6g} N={row.n_points} "
-                    f"sup_error={row.sup_error:.6g} cond={row.cond_estimate:.3e}"
-                )
-                stats = result.mp_stats.get(row.level)
-                if stats:
-                    print(
-                        f"  mp: dps={stats['dps']} assembly={stats['assembly_s']:.3f}s "
-                        f"lu={stats['lu_s']:.3f}s sweep={stats['sweep_s']:.3f}s "
-                        f"kernel memo {stats['distinct']} distinct of {stats['pairs']} pairs, "
-                        f"study memo {stats['memo_size']}"
-                    )
+        for record in result.levels:
+            print(f"level {record.level}: d={record.d:.6g} N={record.n_points} "
+                  f"sup_error={record.errors[0]:.6g} cond={record.cond_estimate:.3e}"
+                  + (f" failed: {record.failure}" if record.failure else ""))
+            if record.mp:
+                print("  mp: dps={dps} assembly={assembly_s:.3f}s lu={lu_s:.3f}s "
+                      "sweep={sweep_s:.3f}s kernel memo {distinct} distinct of {pairs} pairs, "
+                      "study memo {memo_size}".format(**record.mp))
     print(f"wrote {rows_path} and {summary_path}")
 
     if report is not None and not report.passed:

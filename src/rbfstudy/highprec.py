@@ -269,8 +269,7 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
 def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
                   poly_coeffs: np.ndarray, nodes: np.ndarray, probes: np.ndarray,
                   inner_probes: np.ndarray, alphas: tuple[tuple[int, ...], ...],
-                  f_on_probes: list, cond_estimate: float, core: MpCore,
-                  stats: dict | None = None) -> list:
+                  f_on_probes: list, cond_estimate: float, core: MpCore) -> tuple[list, dict]:
     """Solve one refinement level and measure sup errors in mp arithmetic.
 
     The approximand (kernel expansion given by float centers, weights, and
@@ -281,7 +280,7 @@ def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
     and the probe sweep, and sets the precision all of them run at.
     ``f_on_probes`` is ``approximand_on_probes`` of the same probes and core;
     ``cond_estimate`` is reported if the solve finds the system singular.
-    ``stats``, if given, receives the working ``dps``, the wall times
+    With the sups comes a stats dict: the working ``dps``, the wall times
     ``assembly_s``, ``lu_s`` and ``sweep_s``, this level's ``pairs``
     lookups, the ``distinct`` memo entries they added and the memo's
     ``memo_size`` after them."""
@@ -319,11 +318,9 @@ def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,
             s_values = core.expansion(mp_nodes, coeffs, sol_poly, x, len(f_values))
             for k, (fv, sv) in enumerate(zip(f_values, s_values)):
                 worst[k] = max(worst[k], abs(fv - sv))
-        if stats is not None:
-            stats.update(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
-                         sweep_s=clock() - solved, distinct=len(core.memo) - size,
-                         pairs=core.lookups - lookups, memo_size=len(core.memo))
-    return worst
+        return worst, dict(dps=mp.dps, assembly_s=assembled - start, lu_s=solved - assembled,
+                           sweep_s=clock() - solved, distinct=len(core.memo) - size,
+                           pairs=core.lookups - lookups, memo_size=len(core.memo))
 
 
 def estimate_condition(system: np.ndarray) -> float:

@@ -236,13 +236,15 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     saturates near 1e16..1e17. A system whose estimate exceeds
     ``cond_limit``, that is not finite, or whose factor D is exactly
     singular raises SingularSystemError instead of being silently
-    regularized.
+    regularized; so do nodes that are not a determining set for the
+    polynomial part, whose system is exactly singular (estimate inf).
     """
     kernel, nodes = problem.kernel, problem.nodes
     m = problem.cpd_order
     if m >= 1 and not is_determining_set(nodes.points, m, kernel.dim):
-        raise ValueError(
-            f"nodes are not a determining set for polynomials of degree <= {m - 1}"
+        raise SingularSystemError(
+            f"nodes are not a determining set for polynomials of degree <= {m - 1}",
+            float("inf"),
         )
     n = len(nodes)
     system, basis = assemble_system(kernel, nodes)

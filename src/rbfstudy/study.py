@@ -190,6 +190,12 @@ class StudyConfig:
         fill_res = self.fill_resolution or default_fill_resolution(dim)
         _check_lattice_size("probe_resolution", self.probe_resolution**dim, dim)
         _check_lattice_size("fill_resolution", (fill_res + 1) ** dim + fill_res**dim, dim)
+        # uniform_grid's axes: the lattice, their product, has an inner probe when each axis does
+        axes = np.stack([np.linspace(lo, lo + self.domain.side, self.probe_resolution)
+                         for lo in self.domain.lower], axis=-1)
+        if not _keeps_ball(self.domain, axes, self.delta).any(axis=0).all():
+            raise ValueError(f"no probe of a probe_resolution {self.probe_resolution} lattice "
+                             f"keeps a delta-ball of {self.delta} inside the domain")
 
     @property
     def levels(self) -> int:
@@ -260,6 +266,19 @@ class StudyRow:
     cond_estimate: float = float("nan")
 
 
+@dataclass(frozen=True)
+class LevelRecord:
+    """One refinement level as measured; ``mp`` is never written out."""
+
+    level: int
+    d: float
+    n_points: int
+    errors: tuple[float, ...]  # value first, then deriv_orders; NaN when the level failed
+    cond_estimate: float
+    mp: dict | None = None  # highprec.measure_level's stats; None in double or on failure
+    failure: str | None = None  # the SingularSystemError's message
+
+
 @dataclass
 class StudyResult:
     config: StudyConfig
@@ -267,9 +286,7 @@ class StudyResult:
     fits: dict[str, MQRateFit | GaussianRateFit | None]
     failed_levels: int
     approximand_norm: float
-    # per measured level of a solver_dps study, highprec.measure_level's
-    # stats (working dps, stage wall times, memo counts); never written out
-    mp_stats: dict[int, dict] = dataclasses.field(default_factory=dict)
+    levels: list[LevelRecord] = dataclasses.field(default_factory=list)  # in level order
 
     def samples(self, tag: str) -> list[tuple[float, float]]:
         """Fit samples for one row tag: solver failures (NaN) and exact
@@ -292,11 +309,16 @@ def _level_nodes(config: StudyConfig, level: int) -> PointSet:
     )
 
 
-def _inner_probe_mask(domain: CubeDomain, probes: np.ndarray, delta: float) -> np.ndarray:
+def _keeps_ball(domain: CubeDomain, coords: np.ndarray, delta: float) -> np.ndarray:
+    """Per coordinate of ``coords`` (..., dim): whether it lies delta inside the faces."""
     tol = 1e-12 * max(domain.side, 1.0)
     lo = np.asarray(domain.lower)
     hi = lo + domain.side
-    return np.all((probes >= lo + delta - tol) & (probes <= hi - delta + tol), axis=1)
+    return (coords >= lo + delta - tol) & (coords <= hi - delta + tol)
+
+
+def _inner_probe_mask(domain: CubeDomain, probes: np.ndarray, delta: float) -> np.ndarray:
+    return np.all(_keeps_ball(domain, probes, delta), axis=1)
 
 
 def _fit_samples(family: KernelFamily, samples):
@@ -345,7 +367,7 @@ def _base_error(params, d: float, norm_f: float) -> float:
 
 
 def _double_measure(config, f, probes, inner_mask):
-    """``measure(nodes, stats) -> (errors, cond)`` in double precision;
+    """``measure(nodes) -> (errors, cond, None)`` in double precision;
     errors are value-first sups.
 
     Each probe is visited once per expansion: the value alone on the outer
@@ -363,34 +385,34 @@ def _double_measure(config, f, probes, inner_mask):
 
     f_values = sweep(f)
 
-    def measure(nodes, stats):
+    def measure(nodes):
         interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
         sups = [float(np.max(np.abs(fv - sv), initial=0.0))
                 for fv, sv in zip(f_values, sweep(interp))]
-        return [float(np.max(sups[:2]))] + sups[2:], interp.cond_estimate
+        return (float(np.max(sups[:2])), *sups[2:]), interp.cond_estimate, None
 
     return measure
 
 
 def _mp_measure(config, f, probes, inner_mask):
-    """``_double_measure`` at ``solver_dps``: the study's MpCore, built at that
-    dps with one kernel memo for f and every level, and f in mp are built once
-    per study; each level's mpf sups are cast to float. ``stats`` receives
-    ``highprec.measure_level``'s."""
+    """``_double_measure`` at ``solver_dps``, with ``highprec.measure_level``'s
+    stats in place of None: the study's MpCore, built at that dps with one
+    kernel memo for f and every level, and f in mp are built once per study;
+    each level's mpf sups are cast to float."""
     core = highprec.MpCore(config.kernel, config.deriv_orders, config.solver_dps)
     f_mp = highprec.approximand_on_probes(core, f, probes, inner_mask)
     inner = probes[inner_mask]
 
-    def measure(nodes, stats):
+    def measure(nodes):
         system, _ = assemble_system(config.kernel, nodes)
         cond = highprec.estimate_condition(system)
         if cond > config.cond_limit:
             raise SingularSystemError("saddle-point system too ill-conditioned", cond)
-        sups = highprec.measure_level(
+        sups, stats = highprec.measure_level(
             config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes.points, probes,
-            inner, config.deriv_orders, f_mp, cond, core, stats,
+            inner, config.deriv_orders, f_mp, cond, core,
         )
-        return [float(w) for w in sups], cond
+        return tuple(float(w) for w in sups), cond, stats
 
     return measure
 
@@ -401,42 +423,38 @@ def run_study(config: StudyConfig) -> StudyResult:
     A measure built once per study, in double or, with ``solver_dps`` set,
     in extended precision, holds f on the probes and gives each level's sup
     errors and condition estimate; extended precision tracks the true decay
-    below double's noise floor. A level whose solve fails (ill-conditioning)
-    gets NaN errors, which the fits exclude. Rows come out sorted coarse to
-    fine. Deterministic for a fixed config.
+    below double's noise floor. Each level gives one ``LevelRecord``; a
+    failed solve (a singular or too ill-conditioned system) gives NaN errors,
+    which the fits exclude, and its reason. Rows come from the records,
+    sorted coarse to fine. Deterministic for a fixed config.
     """
     f = build_approximand(config)
     norm_f = f.native_norm()
     probes = uniform_grid(config.domain, config.probe_resolution)
     inner_mask = _inner_probe_mask(config.domain, probes, config.delta)
-    if not inner_mask.any():
-        raise ValueError("no probe points keep a delta-ball inside the domain")
     if config.solver_dps is None:
         measure = _double_measure(config, f, probes, inner_mask)
     else:
         measure = _mp_measure(config, f, probes, inner_mask)
 
     tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
-    rows: list[StudyRow] = []
-    failed = 0
-    mp_stats: dict[int, dict] = {}
+    records: list[LevelRecord] = []
     fill_res = config.fill_resolution or default_fill_resolution(config.domain.dim)
     for level in range(config.levels):
         nodes = _level_nodes(config, level)
         d = fill_distance(config.domain, nodes, fill_res)
-        stats = {}
         try:
-            errors, cond = measure(nodes, stats)
+            records.append(LevelRecord(level, d, len(nodes), *measure(nodes)))
         except SingularSystemError as exc:
-            failed += 1
-            errors, cond = [float("nan")] * len(tags), exc.cond_estimate
-        if stats:
-            mp_stats[level] = stats
-        rows.extend(StudyRow(level, d, len(nodes), tag, error, norm_f, cond_estimate=cond)
-                    for tag, error in zip(tags, errors))
+            records.append(LevelRecord(level, d, len(nodes), (float("nan"),) * len(tags),
+                                       exc.cond_estimate, failure=str(exc)))
 
-    rows.sort(key=lambda r: (-r.d, r.level, r.alpha_tag != VALUE_TAG, r.alpha_tag))
-    result = StudyResult(config, rows, {}, failed, norm_f, mp_stats)
+    rows = sorted((StudyRow(r.level, r.d, r.n_points, tag, error, norm_f,
+                            cond_estimate=r.cond_estimate)
+                   for r in records for tag, error in zip(tags, r.errors)),
+                  key=lambda r: (-r.d, r.level, r.alpha_tag != VALUE_TAG, r.alpha_tag))
+    failed = sum(r.failure is not None for r in records)
+    result = StudyResult(config, rows, {}, failed, norm_f, records)
     for tag in tags:
         result.fits[tag] = _fit_samples(config.kernel.family, result.samples(tag))
     _annotate_regimes(result)
@@ -592,9 +610,10 @@ def write_rows_csv(result: StudyResult, path) -> None:
 def read_rows_csv(path) -> list[dict]:
     """Read a rows CSV back into a list of per-row dicts.
 
-    Raises ValueError naming the missing columns when the header is not
-    that of a rows CSV, and naming the file and line of a row whose field
-    count differs from the header's or whose numeric field does not parse.
+    Raises ValueError naming the missing or repeated columns when the
+    header is not that of a rows CSV, and naming the file and line of a row
+    whose field count differs from the header's or whose numeric field does
+    not parse.
     """
     numbers = dict.fromkeys(("d", "beta", "c", "sup_error", "norm_f", "cond_estimate"), float)
     numbers.update(level=int, N=int)
@@ -604,6 +623,9 @@ def read_rows_csv(path) -> list[dict]:
         missing = [column for column in CSV_HEADER.split(",") if column not in header]
         if missing:
             raise ValueError(f"{path} is not a rows CSV: missing columns {', '.join(missing)}")
+        repeated = [column for column in dict.fromkeys(header) if header.count(column) > 1]
+        if repeated:
+            raise ValueError(f"{path} is not a rows CSV: repeated columns {', '.join(repeated)}")
         for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

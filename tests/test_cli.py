@@ -137,8 +137,11 @@ def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capsys, keep, args
          "unknown config key tolerances.solver_dsp$"),
         (lambda doc: doc["kernel"].pop("beta"), "missing config key kernel.beta$"),
         (None, "Expecting"),
+        # probes at 0 and 1 only, and delta 0.1
+        (lambda doc: doc.update(probe_resolution=2),
+         "no probe of a probe_resolution 2 lattice keeps a delta-ball of 0.1 inside the domain$"),
     ],
-    ids=["unknown-key", "missing-key", "not-json"],
+    ids=["unknown-key", "missing-key", "not-json", "no-inner-probe"],
 )
 def test_run_refuses_a_bad_config_with_a_message(tmp_path, capsys, edit, message):
     config_path = tmp_path / "config.json"
@@ -242,6 +245,19 @@ def test_fit_refuses_a_malformed_row_naming_its_line(tmp_path, capsys, edit, mes
     assert captured.err == f"rbfstudy fit: {rows} line 3: {message}\n"
 
 
+def test_fit_refuses_a_header_that_repeats_a_column(tmp_path, capsys):
+    # a second d column would otherwise win and give every row d = 7.0
+    lines = (GOLDEN / "pilot_mq" / "rows.csv").read_text().splitlines()
+    lines = [lines[0] + ",d"] + [line + ",7.0" for line in lines[1:]]
+    rows = tmp_path / "rows.csv"
+    rows.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--rows", str(rows), "--model", "mq"])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rbfstudy fit: {rows} is not a rows CSV: repeated columns d\n"
+
+
 def test_gorny_subcommand(capsys):
     code = main(["gorny", "--trials", "100", "--seed", "3"])
     assert code == EXIT_OK
@@ -283,6 +299,20 @@ def test_verbose_prints_mp_diagnostics(tmp_path, capsys):
     # the diagnostics never reach the written files
     for name in ("rows.csv", "summary.json"):
         assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
+
+
+def test_verbose_prints_a_failed_levels_reason(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    write_tiny_config(config_path, cond_limit=1e8, check_enabled=False)
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path), "--verbose"]
+    assert main(argv) == EXIT_PARTIAL
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("level ")]
+    assert [line.split(":")[0] for line in lines] == [f"level {i}" for i in range(4)]
+    failed = [line for line in lines if "sup_error=nan" in line]
+    assert failed and all(
+        re.search(r" failed: saddle-point system too ill-conditioned "
+                  r"\(condition estimate \d\.\d{3}e\+\d+\)$", line) for line in failed)
+    assert not any("failed" in line for line in lines if line not in failed)
 
 
 def test_verbose_double_study_prints_no_mp_line(tmp_path, capsys):

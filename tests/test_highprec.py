@@ -246,12 +246,13 @@ class _Pilot:
         return generate_points(self.config.domain, "grid",
                                spacing=self.config.spacings[level]).points
 
-    def measure(self, level, core, stats=None, f_mp=None):
+    def measure(self, level, core, f_mp=None):
+        """``measure_level``'s sups and stats for one level."""
         config = self.config
         return measure_level(config.kernel, self.f.centers.points, self.f.weights,
                              self.f.poly_coeffs, self.nodes(level), self.probes,
                              self.probes[self.inner_mask], config.deriv_orders,
-                             self.f_mp if f_mp is None else f_mp, 1.0, core, stats)
+                             self.f_mp if f_mp is None else f_mp, 1.0, core)
 
 
 @pytest.fixture(scope="module", params=["pilot_mq", "pilot_gaussian"])
@@ -287,7 +288,7 @@ def _reference_sups(pilot, nodes):
 def test_level_matches_plain_reference(pilot, level):
     with mp.workdps(pilot.config.solver_dps):
         expected = _reference_sups(pilot, pilot.nodes(level))
-    got = pilot.measure(level, pilot.core)
+    got, _ = pilot.measure(level, pilot.core)
     assert len(got) == len(expected)
     assert all(_same(a, b) for a, b in zip(got, expected))
 
@@ -327,7 +328,8 @@ def test_memo_evaluates_each_absolute_difference_once_per_study(mq_pilot, monkey
     # f and every level share one memo, and no key is evaluated twice
     assert len(evaluated) == len(set(evaluated)) == len(expected)
     assert set(evaluated) == expected
-    stats = [result.mp_stats[level] for level in range(config.levels)]
+    stats = [record.mp for record in result.levels]
+    assert [record.level for record in result.levels] == list(range(config.levels))
     f_distinct = stats[0]["memo_size"] - stats[0]["distinct"]
     assert f_distinct == len(_abs_diffs(pilot.probes, centers))
     assert f_distinct + sum(s["distinct"] for s in stats) == stats[-1]["memo_size"]
@@ -435,10 +437,10 @@ def test_measure_level_leaves_no_shared_state(monkeypatch):
         cores.append(weakref.ref(self))
 
     monkeypatch.setattr(MpCore, "__init__", tracked)
-    first, other, again = {}, {}, {}
-    result = pilot.measure(0, pilot.new_core(), first)
-    pilot.measure(1, pilot.new_core(), other)
-    assert pilot.measure(0, pilot.new_core(), again) == result
+    result, first = pilot.measure(0, pilot.new_core())
+    pilot.measure(1, pilot.new_core())
+    again_result, again = pilot.measure(0, pilot.new_core())
+    assert again_result == result
     assert first["distinct"] == again["distinct"] and first["pairs"] == again["pairs"]
     gc.collect()
     assert len(cores) == 3 and all(ref() is None for ref in cores)
@@ -492,7 +494,7 @@ def test_core_sets_the_precision_of_its_callers(mq_pilot):
             core = pilot.new_core()
             f_mp = pilot.f_on_probes(core)
             assert mp.prec == prec
-            sups = pilot.measure(0, core, f_mp=f_mp)
+            sups, _ = pilot.measure(0, core, f_mp=f_mp)
             assert mp.prec == prec
         return [v for x, values in f_mp for v in x + values] + sups
 

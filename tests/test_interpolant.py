@@ -79,8 +79,9 @@ class TestSolveExamples:
         # order-2 multiquadric needs nodes spanning linear polynomials
         kernel = Kernel.multiquadric(3.0, 1.0, 2)
         collinear = PointSet.from_array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="determining"):
+        with pytest.raises(SingularSystemError, match="determining") as info:
             solve(InterpolationProblem(kernel, collinear, [1.0, 2.0, 3.0]))
+        assert info.value.cond_estimate == float("inf")
 
     def test_condition_limit_enforced(self):
         kernel = Kernel.gaussian(1.0, 1)

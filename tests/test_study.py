@@ -91,6 +91,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="solver_dps"):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("dim, lower", [(1, (0.0,)), (1, (-0.3,)), (2, (-0.3, 0.7))])
+    def test_probe_lattice_needs_an_inner_probe(self, dim, lower):
+        domain = CubeDomain(dim, lower, 1.0)
+        kernel, orders = Kernel.gaussian(40.0, dim), (tuple([1] + [0] * (dim - 1)),)
+
+        def config(resolution, delta):
+            return tiny_config(kernel=kernel, domain=domain, deriv_orders=orders,
+                               probe_resolution=resolution, delta=delta, fill_resolution=8)
+
+        with pytest.raises(ValueError, match="no probe of a probe_resolution 2 lattice keeps"):
+            config(2, 0.1)
+        # refused exactly when the mask run_study would build is all False
+        for resolution in range(2, 12):
+            for delta in (0.1, 0.2, 0.25, 1 / 3, 0.4, 0.45):
+                probes = uniform_grid(domain, resolution)
+                if _inner_probe_mask(domain, probes, delta).any():
+                    assert config(resolution, delta).probe_resolution == resolution
+                else:
+                    with pytest.raises(ValueError, match="keeps a delta-ball"):
+                        config(resolution, delta)
+
     @pytest.mark.parametrize("resolution", [0, -5, 2.5, "64"])
     def test_fill_resolution_must_be_positive_int(self, resolution):
         doc = tiny_config().to_dict()
@@ -366,9 +387,16 @@ class TestRunStudy:
             StudyConfig.load_json(FIXTURES / "pilot_mq.json"), cond_limit=1e15
         )
         result = run_study(config)
-        assert result.failed_levels == 2 and set(result.mp_stats) == {0, 1}
+        assert result.failed_levels == 2
         assert len(result.rows) == 2 * config.levels
         readings = {2: 2.141e19, 3: 1.887e18}
+        for record in result.levels:
+            if record.level in readings:
+                assert all(math.isnan(e) for e in record.errors) and record.mp is None
+                assert record.cond_estimate == pytest.approx(readings[record.level], rel=1e-3)
+                assert record.failure.startswith("saddle-point system too ill-conditioned")
+            else:
+                assert record.failure is None and record.mp["dps"] == config.solver_dps
         for row in result.rows:
             if row.level in readings:
                 assert math.isnan(row.sup_error)
@@ -605,7 +633,8 @@ def test_double_measure_matches_separate_value_and_derivative_sweeps(overrides, 
     measure = _double_measure(config, f, probes, inner_mask)
     for level in range(config.levels):
         nodes = _level_nodes(config, level)
-        errors, cond = measure(nodes, {})
+        errors, cond, mp = measure(nodes)
+        assert mp is None
         interp = interpolate_expansion(f, nodes, cond_limit=config.cond_limit)
         expected = [np.max(np.abs(f.evaluate(probes) - interp.evaluate(probes)))] + [
             np.max(np.abs(f.evaluate_derivative(alpha, inner)
@@ -616,6 +645,54 @@ def test_double_measure_matches_separate_value_and_derivative_sweeps(overrides, 
         assert len(errors) == len(expected)
         for got, want in zip(errors, expected):
             assert want > 0.0 and abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("solver_dps", [None, 30])
+def test_one_level_record_per_level_matches_its_rows(solver_dps):
+    config = tiny_config(spacings=(0.25, 0.125, 0.0625), probe_resolution=41,
+                         solver_dps=solver_dps)
+    result = run_study(config)
+    tags = [alpha_tag((0,))] + [alpha_tag(a) for a in config.deriv_orders]
+    assert [record.level for record in result.levels] == list(range(config.levels))
+    assert len(result.rows) == len(tags) * config.levels
+    for record in result.levels:
+        rows = {row.alpha_tag: row for row in result.rows if row.level == record.level}
+        assert record.errors == tuple(rows[tag].sup_error for tag in tags)
+        assert all((row.d, row.n_points, row.cond_estimate)
+                   == (record.d, record.n_points, record.cond_estimate) for row in rows.values())
+        assert record.failure is None
+        if solver_dps is None:
+            assert record.mp is None
+        else:
+            assert record.mp["dps"] == solver_dps
+
+
+@pytest.mark.parametrize("solver_dps", [None, 50])
+def test_non_determining_nodes_fail_as_a_level(solver_dps, tmp_path, capsys):
+    # beta 3 needs nodes spanning linear polynomials; level 0 has one node
+    doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+    doc["kernel"]["beta"] = 3.0
+    doc["refinement"] = {"scheme": "halton", "counts": [1, 5, 9]}
+    doc["tolerances"]["solver_dps"] = solver_dps
+    config = StudyConfig.from_dict(doc)
+    result = run_study(config)
+    first, *rest = result.levels
+    assert result.failed_levels == 1 and first.n_points == 1
+    assert all(math.isnan(e) for e in first.errors) and first.mp is None
+    assert all(record.failure is None and math.isfinite(record.errors[0]) for record in rest)
+    if solver_dps is None:
+        assert first.cond_estimate == math.inf
+        assert first.failure == ("nodes are not a determining set for polynomials of "
+                                 "degree <= 1 (condition estimate inf)")
+    else:
+        assert first.failure.startswith("saddle-point system too ill-conditioned")
+    path = tmp_path / "config.json"
+    config.save_json(path)
+    argv = ["--verbose", "run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_PARTIAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("level 0: d=0.5 N=1 sup_error=nan ")
+    assert lines[0].endswith(f" failed: {first.failure}")
 
 
 def test_gorny_campaign_deterministic():
