@@ -25,17 +25,12 @@ from rbfstudy.interpolant import (
     solve,
 )
 from rbfstudy.bounds import (
-    DerivativeBoundParams,
-    GaussianBoundParams,
-    MQBoundParams,
     derivative_bound,
     fit_gaussian_rate,
     fit_mq_rate,
-    gaussian_bound,
     gorny_bound,
     gorny_oracle_check,
     m_bar,
-    mq_bound,
 )
 from rbfstudy.study import StudyConfig, check_bounds, run_study
 
@@ -59,17 +54,12 @@ __all__ = [
     "SingularSystemError",
     "residual_expansion",
     "solve",
-    "DerivativeBoundParams",
-    "GaussianBoundParams",
-    "MQBoundParams",
     "derivative_bound",
     "fit_gaussian_rate",
     "fit_mq_rate",
-    "gaussian_bound",
     "gorny_bound",
     "gorny_oracle_check",
     "m_bar",
-    "mq_bound",
     "StudyConfig",
     "check_bounds",
     "run_study",

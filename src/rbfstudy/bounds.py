@@ -3,16 +3,16 @@ independent univariate check of the Gorny derivative inequality.
 
 The two base bounds decay as ``prefactor * base**(1/d)`` (multiquadric
 family) and ``prefactor * (scale*d)**(rate/d)`` (Gaussian) in the fill
-distance d. Derivative errors interpolate between the base bound and a
-top-derivative ceiling; which ceiling branch is active splits behavior
-into a small-d and a large-d regime. All constants here are inputs or fit
-outputs, never derived from theory.
+distance d; ``base_error`` reads them off a fitted rate model. Derivative
+errors interpolate between the base bound and a top-derivative ceiling;
+which ceiling branch is active splits behavior into a small-d and a
+large-d regime. All constants here are inputs or fit outputs, never
+derived from theory.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -21,98 +21,38 @@ import numpy as np
 GORNY_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
-class MQBoundParams:
-    """Constants of the multiquadric base bound prefactor * base**(1/d).
+def base_error_fault(fit, norm_f: float) -> str | None:
+    """Why a value fit, with approximand native norm ``norm_f``, cannot be a
+    contracting base error; None when it can."""
+    if fit is None:
+        return "there is no value fit"
+    if not norm_f > 0.0:
+        return f"the approximand norm {norm_f} is not positive"
+    if not fit.prefactor > 0.0:
+        return f"the fitted prefactor {fit.prefactor} is not positive"
+    if isinstance(fit, MQRateFit):
+        if not 0.0 < fit.base < 1.0:
+            return f"the fitted multiquadric base {fit.base} lies outside (0, 1)"
+    elif not (fit.scale > 0.0 and fit.rate > 0.0):
+        return f"the fitted Gaussian scale {fit.scale} or rate {fit.rate} is not positive"
+    return None
 
-    ``fill_limit`` is the largest admissible fill distance and
-    ``cube_side`` the side of the coverage cubes the bound assumes.
+
+def base_error(fit, norm_f: float) -> Callable[[float], float] | None:
+    """The base error of a value fit as a function of d, or None when
+    ``base_error_fault`` names a fault.
+
+    The fitted prefactor absorbs the approximand norm, so the function is
+    (prefactor / norm_f) * base**(1/d) * norm_f for the multiquadric model
+    and (prefactor / norm_f) * (scale*d)**(rate/d) * norm_f for the
+    Gaussian one, rounded in that order.
     """
-
-    prefactor: float
-    base: float
-    fill_limit: float
-    cube_side: float
-
-    def __post_init__(self):
-        if not (0.0 < self.base < 1.0):
-            raise ValueError(f"base must lie in (0, 1), got {self.base}")
-        for name in ("prefactor", "fill_limit", "cube_side"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class GaussianBoundParams:
-    """Constants of the Gaussian base bound prefactor * (scale*d)**(rate/d).
-
-    Decreasing in d only while scale*d < 1; larger d makes the bound grow,
-    which gaussian_bound flags with a warning.
-    """
-
-    prefactor: float
-    scale: float
-    rate: float
-    fill_limit: float
-
-    def __post_init__(self):
-        for name in ("prefactor", "scale", "rate", "fill_limit"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class DerivativeBoundParams:
-    """Constants of the interpolated derivative bound.
-
-    ``smoothness_order`` is the top derivative order the bound leans on,
-    ``deriv_order`` the measured order (strictly between 0 and the top),
-    ``ball_radius`` the radius of the ball the probe point must carry
-    inside the domain. ``bound_constant`` scales the whole bound and
-    ``deriv_norm_scale`` converts the native norm of the approximand into
-    the top-derivative ceiling; both are fitted or supplied, never derived.
-    """
-
-    smoothness_order: int
-    deriv_order: int
-    ball_radius: float
-    bound_constant: float = 1.0
-    deriv_norm_scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.deriv_order < self.smoothness_order):
-            raise ValueError(
-                f"need 0 < deriv_order < smoothness_order, got "
-                f"{self.deriv_order}, {self.smoothness_order}"
-            )
-        if not (self.ball_radius > 0.0):
-            raise ValueError(f"ball_radius must be positive, got {self.ball_radius}")
-        for name in ("bound_constant", "deriv_norm_scale"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-def mq_bound(params: MQBoundParams, d: float, norm_f: float) -> float:
-    """Multiquadric base bound prefactor * base**(1/d) * norm_f."""
-    if not (0.0 < d <= params.fill_limit):
-        raise ValueError(f"need 0 < d <= {params.fill_limit}, got {d}")
-    if norm_f < 0.0:
-        raise ValueError(f"norm_f must be >= 0, got {norm_f}")
-    return params.prefactor * params.base ** (1.0 / d) * norm_f
-
-
-def gaussian_bound(params: GaussianBoundParams, d: float, norm_f: float) -> float:
-    """Gaussian base bound prefactor * (scale*d)**(rate/d) * norm_f."""
-    if not (0.0 < d <= params.fill_limit):
-        raise ValueError(f"need 0 < d <= {params.fill_limit}, got {d}")
-    if norm_f < 0.0:
-        raise ValueError(f"norm_f must be >= 0, got {norm_f}")
-    if params.scale * d >= 1.0:
-        warnings.warn(
-            f"scale*d = {params.scale * d:.3g} >= 1: bound is not contracting",
-            stacklevel=2,
-        )
-    return params.prefactor * (params.scale * d) ** (params.rate / d) * norm_f
+    if base_error_fault(fit, norm_f) is not None:
+        return None
+    prefactor = fit.prefactor / norm_f
+    if isinstance(fit, MQRateFit):
+        return lambda d: prefactor * fit.base ** (1.0 / d) * norm_f
+    return lambda d: prefactor * (fit.scale * d) ** (fit.rate / d) * norm_f
 
 
 def m_bar(base_error: float, top_deriv: float, order: int, ball_radius: float) -> float:
@@ -149,21 +89,22 @@ class DerivativeBound(NamedTuple):
 
 
 def derivative_bound(
-    params: DerivativeBoundParams, base_error: float, top_deriv: float
+    k: int, l: int, ball_radius: float, base_error: float, top_deriv: float,
+    constant: float = 1.0,
 ) -> DerivativeBound:
-    """Interpolated bound on a mid-order derivative error.
+    """Interpolated bound on an order-k derivative error, 0 < k < l.
 
-    Combines the base error and the m_bar ceiling with exponents
-    1 - k/l and k/l (k the measured order, l the top order). The returned
-    regime names which ceiling branch was active: "small-d" when the
-    top-derivative bound dominates, "large-d" when the inflated base error
-    does, in which case the value collapses to
-    constant * base_error * l!**(k/l) / ball_radius**k.
+    Combines the base error and the m_bar ceiling of the top order l with
+    exponents 1 - k/l and k/l. The returned regime names which ceiling
+    branch was active: "small-d" when the top-derivative bound dominates,
+    "large-d" when the inflated base error does, in which case the value
+    collapses to constant * base_error * l!**(k/l) / ball_radius**k.
     """
-    k, l = params.deriv_order, params.smoothness_order
-    ceiling = m_bar(base_error, top_deriv, l, params.ball_radius)
-    value = _interpolated_bound(params.bound_constant, base_error, ceiling, k / l)
-    regime = ceiling_regime(base_error, top_deriv, l, params.ball_radius)
+    if not (0 < k < l):
+        raise ValueError(f"need 0 < k < l, got k={k}, l={l}")
+    ceiling = m_bar(base_error, top_deriv, l, ball_radius)
+    value = _interpolated_bound(constant, base_error, ceiling, k / l)
+    regime = ceiling_regime(base_error, top_deriv, l, ball_radius)
     return DerivativeBound(value, regime, ceiling)
 
 

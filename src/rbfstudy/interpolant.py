@@ -206,6 +206,18 @@ def assemble_system(kernel: Kernel, nodes: PointSet) -> tuple[np.ndarray, Monomi
     return system, basis
 
 
+def check_determining_set(kernel: Kernel, nodes: PointSet) -> None:
+    """Raise SingularSystemError, with condition estimate inf, when ``nodes``
+    are not a determining set for the kernel's polynomial part: the
+    saddle-point system is then exactly singular, in any precision."""
+    m = kernel.cpd_order
+    if m >= 1 and not is_determining_set(nodes.points, m, kernel.dim):
+        raise SingularSystemError(
+            f"nodes are not a determining set for polynomials of degree <= {m - 1}",
+            float("inf"),
+        )
+
+
 def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT) -> Interpolant:
     """Solve the saddle-point interpolation system.
 
@@ -240,12 +252,7 @@ def solve(problem: InterpolationProblem, cond_limit: float = DEFAULT_COND_LIMIT)
     polynomial part, whose system is exactly singular (estimate inf).
     """
     kernel, nodes = problem.kernel, problem.nodes
-    m = problem.cpd_order
-    if m >= 1 and not is_determining_set(nodes.points, m, kernel.dim):
-        raise SingularSystemError(
-            f"nodes are not a determining set for polynomials of degree <= {m - 1}",
-            float("inf"),
-        )
+    check_determining_set(kernel, nodes)
     n = len(nodes)
     system, basis = assemble_system(kernel, nodes)
     size = len(system)

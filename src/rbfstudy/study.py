@@ -16,17 +16,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from rbfstudy import bounds, highprec
 from rbfstudy.bounds import (
-    DerivativeBoundParams,
-    GaussianBoundParams,
     GaussianRateFit,
-    MQBoundParams,
     MQRateFit,
     fit_gaussian_rate,
     fit_mq_rate,
@@ -48,6 +44,7 @@ from rbfstudy.interpolant import (
     KernelExpansion,
     SingularSystemError,
     assemble_system,
+    check_determining_set,
     interpolate_expansion,
 )
 from rbfstudy.kernels import Kernel, KernelFamily
@@ -181,8 +178,10 @@ class StudyConfig:
                 f"delta must lie in (0, side/2) so probes keep a ball inside the domain, "
                 f"got {self.delta}"
             )
-        if not self.cond_limit > 0.0:
-            raise ValueError(f"tolerances.cond_limit must be > 0, got {self.cond_limit}")
+        for name, value in (("tolerances.cond_limit", self.cond_limit),
+                            ("check.deriv_norm_scale", self.deriv_norm_scale)):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if not 0.0 <= self.check_min_pass_fraction <= 1.0:
             raise ValueError(
                 f"check.min_pass_fraction must lie in [0, 1], got {self.check_min_pass_fraction}"
@@ -330,42 +329,6 @@ def _fit_samples(family: KernelFamily, samples):
         return None
 
 
-def base_params_from_fit(fit, max_d: float, norm_f: float, cube_side: float):
-    """Base-bound parameters recovered from a fitted rate model.
-
-    The fitted prefactor absorbs the approximand norm, so it is divided
-    out here; evaluating the bound with the true norm then reproduces the
-    fitted curve. Returns None when the fit is unusable as a bound (for
-    example a non-contracting decay base).
-    """
-    if fit is None or norm_f <= 0.0:
-        return None
-    try:
-        if isinstance(fit, MQRateFit):
-            return MQBoundParams(fit.prefactor / norm_f, fit.base, max_d, cube_side)
-        if isinstance(fit, GaussianRateFit):
-            return GaussianBoundParams(fit.prefactor / norm_f, fit.scale, fit.rate, max_d)
-    except ValueError:
-        return None
-    raise TypeError(f"unknown fit type {type(fit)!r}")
-
-
-def _fitted_base_params(result: StudyResult):
-    """``base_params_from_fit`` of the study's value fit, over its rows' largest d."""
-    max_d = max((r.d for r in result.rows), default=0.0)
-    return base_params_from_fit(
-        result.fits.get(VALUE_TAG), max_d, result.approximand_norm, result.config.domain.side
-    )
-
-
-def _base_error(params, d: float, norm_f: float) -> float:
-    if isinstance(params, MQBoundParams):
-        return bounds.mq_bound(params, d, norm_f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return bounds.gaussian_bound(params, d, norm_f)
-
-
 def _double_measure(config, f, probes, inner_mask):
     """``measure(nodes) -> (errors, cond, None)`` in double precision;
     errors are value-first sups.
@@ -398,12 +361,14 @@ def _mp_measure(config, f, probes, inner_mask):
     """``_double_measure`` at ``solver_dps``, with ``highprec.measure_level``'s
     stats in place of None: the study's MpCore, built at that dps with one
     kernel memo for f and every level, and f in mp are built once per study;
-    each level's mpf sups are cast to float."""
+    each level's mpf sups are cast to float. Nodes that are not a determining
+    set fail the level as in ``solve``, before the double condition gate."""
     core = highprec.MpCore(config.kernel, config.deriv_orders, config.solver_dps)
     f_mp = highprec.approximand_on_probes(core, f, probes, inner_mask)
     inner = probes[inner_mask]
 
     def measure(nodes):
+        check_determining_set(config.kernel, nodes)
         system, _ = assemble_system(config.kernel, nodes)
         cond = highprec.estimate_condition(system)
         if cond > config.cond_limit:
@@ -461,20 +426,33 @@ def run_study(config: StudyConfig) -> StudyResult:
     return result
 
 
-def _annotate_regimes(result: StudyResult) -> None:
-    """Label derivative rows with the active ceiling branch."""
+def _row_bound(result: StudyResult, base, k: int, d: float, constant: float = 1.0):
+    """The derivative bound of an order-k row at fill distance d, from the
+    base error ``base`` of the study's value fit and, from its config, the
+    top order, the ball and the ceiling ``deriv_norm_scale * |f|_h``: the
+    one place a row's bound and regime are decided."""
     config = result.config
-    params = _fitted_base_params(result)
-    if params is None:
+    return bounds.derivative_bound(k, config.smoothness_order, config.delta, base(d),
+                                   config.deriv_norm_scale * result.approximand_norm, constant)
+
+
+def _derivative_rows(result: StudyResult):
+    """(tag, order, finite rows coarsest first) per derivative order of the study."""
+    for alpha in result.config.deriv_orders:
+        tag = alpha_tag(alpha)
+        yield tag, sum(alpha), [r for r in result.rows
+                                if r.alpha_tag == tag and math.isfinite(r.sup_error)]
+
+
+def _annotate_regimes(result: StudyResult) -> None:
+    """Label derivative rows with the active ceiling branch, when the value
+    fit gives a base error."""
+    base = bounds.base_error(result.fits.get(VALUE_TAG), result.approximand_norm)
+    if base is None:
         return
-    top_deriv = config.deriv_norm_scale * result.approximand_norm
-    for row in result.rows:
-        if row.alpha_tag == VALUE_TAG or not math.isfinite(row.sup_error):
-            continue
-        base = _base_error(params, row.d, result.approximand_norm)
-        row.regime = bounds.ceiling_regime(
-            base, top_deriv, config.smoothness_order, config.delta
-        )
+    for _, k, rows in _derivative_rows(result):
+        for row in rows:
+            row.regime = _row_bound(result, base, k, row.d).regime
 
 
 @dataclass
@@ -507,77 +485,49 @@ class CheckReport:
         }
 
 
-def check_bounds(
-    result: StudyResult,
-    base_params: MQBoundParams | GaussianBoundParams | None = None,
-    deriv_params: DerivativeBoundParams | None = None,
-) -> CheckReport:
+def check_bounds(result: StudyResult) -> CheckReport:
     """Check each derivative row against the interpolated bound.
 
-    The base error model comes from the study's fitted rates unless
-    ``base_params`` is supplied. The bound constant is calibrated per
-    derivative order on the coarsest solved level (that row has margin 1
-    by construction and is excluded from the pass count); the remaining
-    rows then probe the exponent structure of the bound.
+    The base error comes from the study's value fit (``bounds.base_error``);
+    a fit that cannot be a contracting base error raises ValueError naming
+    why. The bound constant is calibrated per derivative order on the
+    coarsest solved level (that row has margin 1 by construction and is
+    excluded from the pass count); the remaining rows then probe the
+    exponent structure of the bound.
     """
-    config = result.config
-    if base_params is None:
-        base_params = _fitted_base_params(result)
-    if base_params is None:
-        raise ValueError("no usable base fit; supply base_params explicitly")
-
-    norm_f = result.approximand_norm
-    scale = deriv_params.deriv_norm_scale if deriv_params else config.deriv_norm_scale
-    ball = deriv_params.ball_radius if deriv_params else config.delta
-    order_top = deriv_params.smoothness_order if deriv_params else config.smoothness_order
-    top_deriv = scale * norm_f
+    fit = result.fits.get(VALUE_TAG)
+    base = bounds.base_error(fit, result.approximand_norm)
+    if base is None:
+        raise ValueError("the value fit gives no contracting base error: "
+                         + bounds.base_error_fault(fit, result.approximand_norm))
 
     check_rows: list[CheckRow] = []
     constants: dict[str, float] = {}
     regime_counts = {bounds.SMALL_D: 0, bounds.LARGE_D: 0}
     passes = total = 0
-    for alpha in config.deriv_orders:
-        tag = alpha_tag(alpha)
-        k = sum(alpha)
-        params_k = DerivativeBoundParams(order_top, k, ball, 1.0, scale)
-        tag_rows = [
-            r for r in result.rows
-            if r.alpha_tag == tag and math.isfinite(r.sup_error)
-        ]
+    for tag, k, tag_rows in _derivative_rows(result):
         if not tag_rows:
             continue
         coarsest = tag_rows[0]
-        raw = bounds.derivative_bound(
-            params_k, _base_error(base_params, coarsest.d, norm_f), top_deriv
-        )
+        raw = _row_bound(result, base, k, coarsest.d)
         if raw.value <= 0.0 or coarsest.sup_error <= 0.0:
             continue
         constant = coarsest.sup_error / raw.value
         constants[tag] = constant
-        calibrated = dataclasses.replace(params_k, bound_constant=constant)
         for i, row in enumerate(tag_rows):
-            db = bounds.derivative_bound(
-                calibrated, _base_error(base_params, row.d, norm_f), top_deriv
-            )
+            db = _row_bound(result, base, k, row.d, constant)
             margin = db.value / row.sup_error if row.sup_error > 0.0 else float("inf")
             is_calib = i == 0
-            check_rows.append(
-                CheckRow(row.level, row.d, tag, row.sup_error, db.value, margin,
-                         db.regime, is_calib)
-            )
+            check_rows.append(CheckRow(row.level, row.d, tag, row.sup_error, db.value, margin,
+                                       db.regime, is_calib))
             regime_counts[db.regime] += 1
             if not is_calib:
                 total += 1
                 if margin >= 1.0 - 1e-9:
                     passes += 1
     pass_fraction = passes / total if total else 1.0
-    return CheckReport(
-        check_rows,
-        constants,
-        pass_fraction,
-        regime_counts,
-        pass_fraction >= config.check_min_pass_fraction,
-    )
+    return CheckReport(check_rows, constants, pass_fraction, regime_counts,
+                       pass_fraction >= result.config.check_min_pass_fraction)
 
 
 def write_rows_csv(result: StudyResult, path) -> None:

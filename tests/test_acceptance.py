@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbfstudy.bounds import DerivativeBoundParams, decay_exponent
+from rbfstudy.bounds import decay_exponent
 from rbfstudy.geometry import CubeDomain, generate_points, uniform_grid
 from rbfstudy.interpolant import (
     InterpolationProblem,
@@ -255,14 +255,8 @@ def test_criterion_9_regime_flip(pilot_mq, pilot_gaussian):
         for result, name in ((pilot_mq, "mq"), (pilot_gaussian, "gaussian")):
             config = result.config
             baseline = check_bounds(result)
-            shrunk_params = DerivativeBoundParams(
-                config.smoothness_order,
-                1,
-                config.delta / factor,
-                1.0,
-                config.deriv_norm_scale,
-            )
-            shrunk = check_bounds(result, deriv_params=shrunk_params)
+            shrunk = check_bounds(dataclasses.replace(
+                result, config=dataclasses.replace(config, delta=config.delta / factor)))
             assert shrunk.regime_counts["large-d"] > baseline.regime_counts["large-d"]
             observed = THRESHOLDS[name]["observed"]
             assert baseline.regime_counts["large-d"] == observed["large_d_rows_baseline"]

@@ -4,85 +4,87 @@ import numpy as np
 import pytest
 
 from rbfstudy.bounds import (
-    DerivativeBoundParams,
-    GaussianBoundParams,
     GaussianRateFit,
-    MQBoundParams,
     MQRateFit,
     _interpolated_bound,
+    base_error,
+    base_error_fault,
     decay_exponent,
     derivative_bound,
     fit_gaussian_rate,
     fit_mq_rate,
     fit_report_dict,
-    gaussian_bound,
     gorny_bound,
     gorny_oracle_check,
     m_bar,
-    mq_bound,
 )
 
 
 class TestBaseBounds:
     def test_mq_bound_direct(self):
-        params = MQBoundParams(prefactor=1.0, base=0.5, fill_limit=1.0, cube_side=1.0)
-        assert mq_bound(params, 0.1, 1.0) == pytest.approx(0.5**10, rel=1e-15)
-        assert mq_bound(params, 0.1, 1.0) == pytest.approx(9.765625e-4, rel=1e-12)
+        bound = base_error(MQRateFit(prefactor=1.0, base=0.5, r2=1.0), 1.0)
+        assert bound(0.1) == pytest.approx(0.5**10, rel=1e-15)
+        assert bound(0.1) == pytest.approx(9.765625e-4, rel=1e-12)
+        # the fitted prefactor absorbs the norm: (prefactor / norm) * decay * norm
+        assert base_error(MQRateFit(6.0, 0.5, 1.0), 3.0)(0.1) == (6.0 / 3.0) * 0.5**10 * 3.0
 
     def test_mq_bound_zero_norm(self):
-        params = MQBoundParams(1.0, 0.5, 1.0, 1.0)
-        assert mq_bound(params, 0.3, 0.0) == 0.0
+        # the fitted prefactor cannot be split from a norm that is not positive
+        for norm in (0.0, -1.0, float("nan")):
+            assert base_error(MQRateFit(1.0, 0.5, 1.0), norm) is None
+            assert base_error_fault(MQRateFit(1.0, 0.5, 1.0), norm) == (
+                f"the approximand norm {norm} is not positive")
 
     def test_mq_halving_squares_the_factor(self):
-        params = MQBoundParams(1.0, 0.37, 1.0, 1.0)
+        bound = base_error(MQRateFit(1.0, 0.37, 1.0), 1.0)
         d = 0.2
-        assert mq_bound(params, d / 2, 1.0) == pytest.approx(
-            mq_bound(params, d, 1.0) ** 2, rel=1e-12
-        )
+        assert bound(d / 2) == pytest.approx(bound(d) ** 2, rel=1e-12)
 
     def test_mq_bound_domain_errors(self):
-        params = MQBoundParams(1.0, 0.5, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            mq_bound(params, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            mq_bound(params, 0.6, 1.0)
-        with pytest.raises(ValueError):
-            mq_bound(params, 0.1, -1.0)
+        # a multiquadric base outside (0, 1) is not a contracting bound
+        for base in (0.0, 1.0, 1.5, -0.5, float("nan")):
+            fit = MQRateFit(1.0, base, 1.0)
+            assert base_error(fit, 1.0) is None
+            assert base_error_fault(fit, 1.0) == (
+                f"the fitted multiquadric base {base} lies outside (0, 1)")
 
     def test_mq_strictly_decreasing(self):
-        params = MQBoundParams(2.0, 0.8, 1.0, 1.0)
+        bound = base_error(MQRateFit(2.0, 0.8, 1.0), 1.0)
         ds = np.linspace(1.0, 0.01, 40)
-        values = [mq_bound(params, d, 1.0) for d in ds]
+        values = [bound(d) for d in ds]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_gaussian_bound_direct(self):
-        params = GaussianBoundParams(prefactor=1.0, scale=1.0, rate=1.0, fill_limit=1.0)
-        assert gaussian_bound(params, 0.5, 1.0) == pytest.approx(0.25, rel=1e-15)
-        params = GaussianBoundParams(2.0, 0.1, 0.2, 1.0)
-        assert gaussian_bound(params, 0.1, 3.0) == pytest.approx(6e-4, rel=1e-12)
+        fit = GaussianRateFit(prefactor=1.0, scale=1.0, rate=1.0, r2=1.0)
+        assert base_error(fit, 1.0)(0.5) == pytest.approx(0.25, rel=1e-15)
+        fit = GaussianRateFit(6.0, 0.1, 0.2, 1.0)
+        assert base_error(fit, 3.0)(0.1) == pytest.approx(6e-4, rel=1e-12)
+        assert base_error(fit, 3.0)(0.1) == (6.0 / 3.0) * (0.1 * 0.1) ** (0.2 / 0.1) * 3.0
 
     def test_gaussian_bound_zero_norm(self):
-        params = GaussianBoundParams(1.0, 1.0, 1.0, 1.0)
-        assert gaussian_bound(params, 0.5, 0.0) == 0.0
-
-    def test_gaussian_warns_when_not_contracting(self):
-        params = GaussianBoundParams(1.0, 3.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="not contracting"):
-            gaussian_bound(params, 0.5, 1.0)
+        assert base_error(GaussianRateFit(1.0, 1.0, 1.0, 1.0), 0.0) is None
 
     def test_gaussian_decreasing_in_contracting_region(self):
-        params = GaussianBoundParams(1.5, 1.0, 0.7, 1.0)
+        bound = base_error(GaussianRateFit(1.5, 1.0, 0.7, 1.0), 1.0)
         ds = np.linspace(0.3, 0.02, 30)  # scale*d <= 0.3 throughout
-        values = [gaussian_bound(params, d, 1.0) for d in ds]
+        values = [bound(d) for d in ds]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            MQBoundParams(1.0, 1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            MQBoundParams(-1.0, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            GaussianBoundParams(1.0, 0.0, 1.0, 1.0)
+        # the contracting-fit rule: a fit, a positive prefactor, an MQ base in
+        # (0, 1), a positive Gaussian scale and rate
+        assert base_error_fault(None, 1.0) == "there is no value fit"
+        assert base_error(None, 1.0) is None
+        assert base_error_fault(MQRateFit(0.0, 0.5, 1.0), 1.0) == (
+            "the fitted prefactor 0.0 is not positive")
+        for scale, rate in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.3)):
+            fit = GaussianRateFit(1.0, scale, rate, 1.0)
+            assert base_error(fit, 1.0) is None
+            assert base_error_fault(fit, 1.0) == (
+                f"the fitted Gaussian scale {scale} or rate {rate} is not positive")
+        for fit in (MQRateFit(1.0, 0.999, 0.5), GaussianRateFit(1.0, 3.0, 1e-9, -2.0)):
+            assert base_error_fault(fit, 1e-300) is None
+            assert base_error(fit, 1e-300) is not None
 
 
 class TestDerivativeBound:
@@ -96,15 +98,13 @@ class TestDerivativeBound:
         assert m_bar(1.0, 0.7, 2, 1e9) == 0.7
 
     def test_interpolated_bound_small_d(self):
-        params = DerivativeBoundParams(2, 1, 1.0, bound_constant=1.0)
-        result = derivative_bound(params, 1e-6, 1.0)
+        result = derivative_bound(1, 2, 1.0, 1e-6, 1.0)
         assert result.value == pytest.approx(1e-3, rel=1e-12)
         assert result.regime == "small-d"
 
     def test_large_d_collapse(self):
         # constant * base * (l!)^(k/l) / ball^k with l=2, k=1, ball=0.5
-        params = DerivativeBoundParams(2, 1, 0.5, bound_constant=1.0)
-        result = derivative_bound(params, 1.0, 1.0)
+        result = derivative_bound(1, 2, 0.5, 1.0, 1.0)
         assert result.regime == "large-d"
         assert result.value == pytest.approx(math.sqrt(2.0) * 2.0, rel=1e-12)
         assert result.value == pytest.approx(2.8284271, rel=1e-6)
@@ -114,11 +114,9 @@ class TestDerivativeBound:
         # unit inputs collapse the bound to the constant for every order
         for l in (2, 3, 4):
             for k in range(1, l):
-                params = DerivativeBoundParams(l, k, 1e6, bound_constant=1.0)
-                assert derivative_bound(params, 1.0, 1.0).value == pytest.approx(1.0, rel=1e-14)
+                assert derivative_bound(k, l, 1e6, 1.0, 1.0).value == pytest.approx(1.0, rel=1e-14)
         # at ball radius 1 the inflated branch wins by a factor l!
-        params = DerivativeBoundParams(2, 1, 1.0, bound_constant=1.0)
-        result = derivative_bound(params, 1.0, 1.0)
+        result = derivative_bound(1, 2, 1.0, 1.0, 1.0)
         assert result.regime == "large-d"
         assert result.value == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
@@ -132,8 +130,7 @@ class TestDerivativeBound:
             base = float(10.0 ** rng.uniform(-8, 0))
             top = float(10.0 ** rng.uniform(-2, 2))
             const = float(rng.uniform(0.1, 5.0))
-            params = DerivativeBoundParams(l, k, ball, bound_constant=const)
-            result = derivative_bound(params, base, top)
+            result = derivative_bound(k, l, ball, base, top, const)
             if result.regime == "small-d":
                 expected = const * base ** (1 - k / l) * top ** (k / l)
             else:
@@ -153,10 +150,12 @@ class TestDerivativeBound:
             previous = value
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            DerivativeBoundParams(2, 2, 1.0)
-        with pytest.raises(ValueError):
-            DerivativeBoundParams(2, 0, 1.0)
+        with pytest.raises(ValueError, match="0 < k < l"):
+            derivative_bound(2, 2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="0 < k < l"):
+            derivative_bound(0, 2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="ball_radius > 0"):
+            derivative_bound(1, 2, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             gorny_bound(0, 2, 1.0, 1.0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from rbfstudy import highprec
 from rbfstudy import kernels as kernels_module
-from rbfstudy.bounds import DerivativeBoundParams, MQBoundParams, derivative_bound
+from rbfstudy.bounds import MQRateFit, base_error, derivative_bound
 from rbfstudy.cli import EXIT_PARTIAL, main
 from rbfstudy.geometry import CubeDomain, uniform_grid
 from rbfstudy.interpolant import KernelExpansion, interpolate_expansion
@@ -134,6 +135,10 @@ class TestConfig:
              "entry of refinement.counts must be an integer"),
             (("check", "min_pass_fraction"), 1.5, r"min_pass_fraction must lie in \[0, 1\]"),
             (("tolerances", "cond_limit"), -1, "tolerances.cond_limit must be > 0"),
+            (("check", "deriv_norm_scale"), 0.0, "check.deriv_norm_scale must be > 0, got 0.0"),
+            (("check", "deriv_norm_scale"), -1, "check.deriv_norm_scale must be > 0, got -1.0"),
+            (("check", "deriv_norm_scale"), float("nan"),
+             "check.deriv_norm_scale must be > 0, got nan"),
         ],
     )
     def test_config_numbers_checked_not_truncated(self, path, value, match):
@@ -453,31 +458,36 @@ class TestCsvAndSummary:
         assert "regime_counts" in text
 
 
-def _synthetic_result(config, base_params, deriv_params, constant):
-    """Rows generated exactly from the bound formulas."""
+# the base model every synthetic check result carries as its value fit
+SYNTHETIC_FIT = MQRateFit(0.5, 0.4, 1.0)
+
+
+def _synthetic_result(config, constant, derivative_error=None):
+    """Rows of a unit-norm study whose value errors are the base error of
+    SYNTHETIC_FIT and whose order-1 errors are the calibrated bound, or
+    ``derivative_error(base error)`` when given."""
+    base = base_error(SYNTHETIC_FIT, 1.0)
     rows = []
-    ds = [0.2, 0.1, 0.05, 0.025]
-    for level, d in enumerate(ds):
-        base = base_params.prefactor * base_params.base ** (1.0 / d)
-        rows.append(StudyRow(level, d, 10, "0", base, 1.0))
-        db = derivative_bound(
-            dataclasses.replace(deriv_params, bound_constant=constant),
-            base,
-            deriv_params.deriv_norm_scale,
-        )
-        rows.append(StudyRow(level, d, 10, "1", db.value, 1.0))
-    result = StudyResult(config, rows, {}, 0, 1.0)
-    result.fits["0"] = None
-    return result
+    for level, d in enumerate([0.2, 0.1, 0.05, 0.025]):
+        rows.append(StudyRow(level, d, 10, "0", base(d), 1.0))
+        if derivative_error is None:
+            error = derivative_bound(1, config.smoothness_order, config.delta, base(d),
+                                     config.deriv_norm_scale, constant).value
+        else:
+            error = derivative_error(base(d))
+        rows.append(StudyRow(level, d, 10, "1", error, 1.0))
+    return StudyResult(config, rows, {"0": SYNTHETIC_FIT}, 0, 1.0)
+
+
+def _synthetic_config(**overrides):
+    return tiny_config(kernel=Kernel.multiquadric(1.0, 1.0, 1),
+                       spacings=(0.2, 0.1, 0.05, 0.025), **overrides)
 
 
 class TestCheckBounds:
     def test_synthetic_rows_have_unit_margins(self):
-        cfg = tiny_config(kernel=Kernel.multiquadric(1.0, 1.0, 1), spacings=(0.2, 0.1, 0.05, 0.025))
-        base_params = MQBoundParams(0.5, 0.4, 1.0, 1.0)
-        deriv_params = DerivativeBoundParams(2, 1, cfg.delta, 1.0, 1.0)
-        result = _synthetic_result(cfg, base_params, deriv_params, constant=2.7)
-        report = check_bounds(result, base_params=base_params, deriv_params=deriv_params)
+        result = _synthetic_result(_synthetic_config(), constant=2.7)
+        report = check_bounds(result)
         assert report.constants["1"] == pytest.approx(2.7, rel=1e-12)
         for row in report.rows:
             assert row.margin == pytest.approx(1.0, rel=1e-9)
@@ -485,33 +495,43 @@ class TestCheckBounds:
         assert report.passed
 
     def test_calibration_row_excluded_from_count(self):
-        cfg = tiny_config(kernel=Kernel.multiquadric(1.0, 1.0, 1), spacings=(0.2, 0.1, 0.05, 0.025))
-        base_params = MQBoundParams(0.5, 0.4, 1.0, 1.0)
-        deriv_params = DerivativeBoundParams(2, 1, cfg.delta, 1.0, 1.0)
-        result = _synthetic_result(cfg, base_params, deriv_params, constant=1.0)
-        report = check_bounds(result, base_params=base_params, deriv_params=deriv_params)
+        report = check_bounds(_synthetic_result(_synthetic_config(), constant=1.0))
         calibration_rows = [r for r in report.rows if r.calibration]
         assert len(calibration_rows) == 1
         assert calibration_rows[0].level == 0
 
     def test_missing_fit_raises_without_params(self):
-        cfg = tiny_config(kernel=Kernel.multiquadric(1.0, 1.0, 1), spacings=(0.2, 0.1, 0.05, 0.025))
-        result = _synthetic_result(
-            cfg, MQBoundParams(0.5, 0.4, 1.0, 1.0), DerivativeBoundParams(2, 1, 0.1), 1.0
-        )
-        with pytest.raises(ValueError, match="base fit"):
+        result = _synthetic_result(_synthetic_config(), 1.0)
+        result.fits["0"] = None
+        with pytest.raises(ValueError, match="no contracting base error: there is no value fit"):
+            check_bounds(result)
+
+    def test_non_contracting_fit_is_refused_in_fit_terms(self):
+        result = _synthetic_result(_synthetic_config(), 1.0)
+        result.fits["0"] = MQRateFit(0.5, 1.25, 1.0)
+        with pytest.raises(ValueError, match=r"multiquadric base 1.25 lies outside \(0, 1\)"):
             check_bounds(result)
 
     def test_shrinking_ball_moves_rows_to_large_d(self):
-        cfg = tiny_config(kernel=Kernel.multiquadric(1.0, 1.0, 1), spacings=(0.2, 0.1, 0.05, 0.025))
-        base_params = MQBoundParams(0.5, 0.4, 1.0, 1.0)
-        deriv_params = DerivativeBoundParams(2, 1, 0.1, 1.0, 1.0)
-        result = _synthetic_result(cfg, base_params, deriv_params, 1.0)
-        baseline = check_bounds(result, base_params, deriv_params)
-        shrunk = check_bounds(
-            result, base_params, dataclasses.replace(deriv_params, ball_radius=0.01)
-        )
+        cfg = _synthetic_config()
+        result = _synthetic_result(cfg, 1.0)
+        baseline = check_bounds(result)
+        shrunk = check_bounds(dataclasses.replace(
+            result, config=dataclasses.replace(cfg, delta=0.01)))
         assert shrunk.regime_counts["large-d"] > baseline.regime_counts["large-d"]
+
+    def test_errors_decaying_at_the_wrong_exponent_fail(self):
+        # negative control: order-1 errors 2.7 * base^(1/4) decay slower than
+        # the small-d bound's base^(1/2), so every row past the calibration
+        # one (large-d at d = 0.2) fails
+        result = _synthetic_result(_synthetic_config(), 1.0, lambda base: 2.7 * base**0.25)
+        report = check_bounds(result)
+        margins = [row.margin for row in report.rows]
+        assert [row.regime for row in report.rows] == ["large-d"] + ["small-d"] * 3
+        assert margins[0] == pytest.approx(1.0, rel=1e-12)
+        assert margins[1:] == pytest.approx([0.314, 0.0318, 3.26e-4], rel=0.01)
+        assert report.pass_fraction == 0.0
+        assert not report.passed
 
 
 def _assert_extended_matches_double(**overrides):
@@ -680,12 +700,12 @@ def test_non_determining_nodes_fail_as_a_level(solver_dps, tmp_path, capsys):
     assert result.failed_levels == 1 and first.n_points == 1
     assert all(math.isnan(e) for e in first.errors) and first.mp is None
     assert all(record.failure is None and math.isfinite(record.errors[0]) for record in rest)
-    if solver_dps is None:
-        assert first.cond_estimate == math.inf
-        assert first.failure == ("nodes are not a determining set for polynomials of "
-                                 "degree <= 1 (condition estimate inf)")
-    else:
-        assert first.failure.startswith("saddle-point system too ill-conditioned")
+    assert first.cond_estimate == math.inf
+    assert first.failure == ("nodes are not a determining set for polynomials of "
+                             "degree <= 1 (condition estimate inf)")
+    # both precisions refuse the nodes before any condition gate, so no limit changes that
+    loose = run_study(dataclasses.replace(config, cond_limit=1e300)).levels[0]
+    assert (loose.failure, loose.cond_estimate) == (first.failure, first.cond_estimate)
     path = tmp_path / "config.json"
     config.save_json(path)
     argv = ["--verbose", "run", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -693,6 +713,30 @@ def test_non_determining_nodes_fail_as_a_level(solver_dps, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("level 0: d=0.5 N=1 sup_error=nan ")
     assert lines[0].endswith(f" failed: {first.failure}")
+
+
+def _grid2d_eval_config(seed):
+    """The ``grid2d_eval`` benchmark workload's study config at ``seed``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return StudyConfig.from_dict(workloads.grid2d_eval(seed))
+
+
+@pytest.mark.parametrize("name", ["pilot_mq", "pilot_gaussian", "grid2d_eval"])
+def test_rows_and_check_decide_each_regime_once(name):
+    # the regime column of rows.csv and the check's rows come from one decision
+    if name == "grid2d_eval":
+        config = _grid2d_eval_config(11)
+    else:
+        config = StudyConfig.load_json(FIXTURES / f"{name}.json")
+    result = run_study(config)
+    checked = {(row.level, row.alpha_tag): row.regime for row in check_bounds(result).rows}
+    derivative_rows = [row for row in result.rows if row.alpha_tag != "0"]
+    assert len(checked) == len(derivative_rows) > 0
+    for row in derivative_rows:
+        assert row.regime == checked[row.level, row.alpha_tag] != "-"
 
 
 def test_gorny_campaign_deterministic():
