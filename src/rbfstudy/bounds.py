@@ -72,20 +72,9 @@ SMALL_D = "small-d"
 LARGE_D = "large-d"
 
 
-def ceiling_regime(base_error: float, top_deriv: float, order: int, ball_radius: float) -> str:
-    """Which ceiling branch is active; ties go to the small-d branch."""
-    inflated = base_error * math.factorial(order) * ball_radius ** (-order)
-    return LARGE_D if inflated > top_deriv else SMALL_D
-
-
-def _interpolated_bound(constant: float, base_error: float, ceiling: float, frac: float) -> float:
-    return constant * base_error ** (1.0 - frac) * ceiling**frac
-
-
 class DerivativeBound(NamedTuple):
     value: float
     regime: str
-    ceiling: float
 
 
 def derivative_bound(
@@ -96,16 +85,15 @@ def derivative_bound(
 
     Combines the base error and the m_bar ceiling of the top order l with
     exponents 1 - k/l and k/l. The returned regime names which ceiling
-    branch was active: "small-d" when the top-derivative bound dominates,
-    "large-d" when the inflated base error does, in which case the value
-    collapses to constant * base_error * l!**(k/l) / ball_radius**k.
+    branch was active: "small-d" when the top-derivative bound dominates
+    (ties included), "large-d" when the inflated base error does, in which
+    case the value collapses to constant * base_error * l!**(k/l) / ball_radius**k.
     """
     if not (0 < k < l):
         raise ValueError(f"need 0 < k < l, got k={k}, l={l}")
     ceiling = m_bar(base_error, top_deriv, l, ball_radius)
-    value = _interpolated_bound(constant, base_error, ceiling, k / l)
-    regime = ceiling_regime(base_error, top_deriv, l, ball_radius)
-    return DerivativeBound(value, regime, ceiling)
+    value = constant * base_error ** (1.0 - k / l) * ceiling ** (k / l)
+    return DerivativeBound(value, LARGE_D if ceiling > top_deriv else SMALL_D)
 
 
 def gorny_bound(k: int, l: int, base_sup: float, ceiling: float) -> float:

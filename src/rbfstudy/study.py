@@ -165,9 +165,11 @@ class StudyConfig:
         if any(b >= a if grid else b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"refinement.{used} must be strictly "
                              f"{'decreasing' if grid else 'increasing'}, got {sizes}")
-        for alpha in self.deriv_orders:
+        for i, alpha in enumerate(self.deriv_orders):
             if len(alpha) != dim:
                 raise ValueError(f"multi-index {alpha} does not match dim {dim}")
+            if alpha in self.deriv_orders[:i]:
+                raise ValueError(f"derivatives.orders repeats the order {list(alpha)}")
             k = sum(alpha)
             if not (0 < k < self.smoothness_order):
                 raise ValueError(
@@ -253,18 +255,6 @@ def build_approximand(config: StudyConfig) -> KernelExpansion:
     return f
 
 
-@dataclass
-class StudyRow:
-    level: int
-    d: float
-    n_points: int
-    alpha_tag: str
-    sup_error: float
-    norm_f: float
-    regime: str = NO_REGIME
-    cond_estimate: float = float("nan")
-
-
 @dataclass(frozen=True)
 class LevelRecord:
     """One refinement level as measured; ``mp`` is never written out."""
@@ -278,23 +268,38 @@ class LevelRecord:
     failure: str | None = None  # the SingularSystemError's message
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyResult:
     config: StudyConfig
-    rows: list[StudyRow]
+    levels: tuple[LevelRecord, ...]  # in level order
     fits: dict[str, MQRateFit | GaussianRateFit | None]
-    failed_levels: int
     approximand_norm: float
-    levels: list[LevelRecord] = dataclasses.field(default_factory=list)  # in level order
+
+    @property
+    def failed_levels(self) -> int:
+        return sum(record.failure is not None for record in self.levels)
 
     def samples(self, tag: str) -> list[tuple[float, float]]:
-        """Fit samples for one row tag: solver failures (NaN) and exact
-        zeros are excluded, since the log-scale fits need positive errors."""
-        return [
-            (row.d, row.sup_error)
-            for row in self.rows
-            if row.alpha_tag == tag and math.isfinite(row.sup_error) and row.sup_error > 0.0
-        ]
+        """Fit samples for one row tag, coarsest first: solver failures (NaN)
+        and exact zeros are excluded, since the log-scale fits need positive errors."""
+        return _samples(_coarse_to_fine(self.config, self.levels, tag))
+
+
+def _tags(config: StudyConfig) -> list[str]:
+    """Row tags in the order of a record's errors: the value, then deriv_orders."""
+    return [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
+
+
+def _coarse_to_fine(config: StudyConfig, levels, tag: str) -> list[tuple[LevelRecord, float]]:
+    """Each level's (record, error) for one row tag, by (-d, level): a Halton or
+    random study's d need not fall with the level, and the fits' bits depend
+    on their sample order."""
+    index = _tags(config).index(tag)
+    return [(r, r.errors[index]) for r in sorted(levels, key=lambda r: (-r.d, r.level))]
+
+
+def _samples(pairs) -> list[tuple[float, float]]:
+    return [(r.d, error) for r, error in pairs if math.isfinite(error) and error > 0.0]
 
 
 def _level_nodes(config: StudyConfig, level: int) -> PointSet:
@@ -322,9 +327,7 @@ def _inner_probe_mask(domain: CubeDomain, probes: np.ndarray, delta: float) -> n
 
 def _fit_samples(family: KernelFamily, samples):
     try:
-        if family is KernelFamily.MULTIQUADRIC:
-            return fit_mq_rate(samples) if len(samples) >= 3 else None
-        return fit_gaussian_rate(samples) if len(samples) >= 4 else None
+        return (fit_mq_rate if family is KernelFamily.MULTIQUADRIC else fit_gaussian_rate)(samples)
     except ValueError:
         return None
 
@@ -390,8 +393,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     errors and condition estimate; extended precision tracks the true decay
     below double's noise floor. Each level gives one ``LevelRecord``; a
     failed solve (a singular or too ill-conditioned system) gives NaN errors,
-    which the fits exclude, and its reason. Rows come from the records,
-    sorted coarse to fine. Deterministic for a fixed config.
+    which the fits exclude, and its reason. Deterministic for a fixed config.
     """
     f = build_approximand(config)
     norm_f = f.native_norm()
@@ -402,7 +404,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     else:
         measure = _mp_measure(config, f, probes, inner_mask)
 
-    tags = [VALUE_TAG] + [alpha_tag(a) for a in config.deriv_orders]
+    tags = _tags(config)
     records: list[LevelRecord] = []
     fill_res = config.fill_resolution or default_fill_resolution(config.domain.dim)
     for level in range(config.levels):
@@ -414,16 +416,9 @@ def run_study(config: StudyConfig) -> StudyResult:
             records.append(LevelRecord(level, d, len(nodes), (float("nan"),) * len(tags),
                                        exc.cond_estimate, failure=str(exc)))
 
-    rows = sorted((StudyRow(r.level, r.d, r.n_points, tag, error, norm_f,
-                            cond_estimate=r.cond_estimate)
-                   for r in records for tag, error in zip(tags, r.errors)),
-                  key=lambda r: (-r.d, r.level, r.alpha_tag != VALUE_TAG, r.alpha_tag))
-    failed = sum(r.failure is not None for r in records)
-    result = StudyResult(config, rows, {}, failed, norm_f, records)
-    for tag in tags:
-        result.fits[tag] = _fit_samples(config.kernel.family, result.samples(tag))
-    _annotate_regimes(result)
-    return result
+    fits = {tag: _fit_samples(config.kernel.family, _samples(_coarse_to_fine(config, records, tag)))
+            for tag in tags}
+    return StudyResult(config, tuple(records), fits, norm_f)
 
 
 def _row_bound(result: StudyResult, base, k: int, d: float, constant: float = 1.0):
@@ -437,22 +432,11 @@ def _row_bound(result: StudyResult, base, k: int, d: float, constant: float = 1.
 
 
 def _derivative_rows(result: StudyResult):
-    """(tag, order, finite rows coarsest first) per derivative order of the study."""
+    """(tag, order, finite (record, error) pairs coarsest first) per derivative order."""
     for alpha in result.config.deriv_orders:
         tag = alpha_tag(alpha)
-        yield tag, sum(alpha), [r for r in result.rows
-                                if r.alpha_tag == tag and math.isfinite(r.sup_error)]
-
-
-def _annotate_regimes(result: StudyResult) -> None:
-    """Label derivative rows with the active ceiling branch, when the value
-    fit gives a base error."""
-    base = bounds.base_error(result.fits.get(VALUE_TAG), result.approximand_norm)
-    if base is None:
-        return
-    for _, k, rows in _derivative_rows(result):
-        for row in rows:
-            row.regime = _row_bound(result, base, k, row.d).regime
+        pairs = _coarse_to_fine(result.config, result.levels, tag)
+        yield tag, sum(alpha), [(r, error) for r, error in pairs if math.isfinite(error)]
 
 
 @dataclass
@@ -505,20 +489,20 @@ def check_bounds(result: StudyResult) -> CheckReport:
     constants: dict[str, float] = {}
     regime_counts = {bounds.SMALL_D: 0, bounds.LARGE_D: 0}
     passes = total = 0
-    for tag, k, tag_rows in _derivative_rows(result):
-        if not tag_rows:
+    for tag, k, pairs in _derivative_rows(result):
+        if not pairs:
             continue
-        coarsest = tag_rows[0]
+        coarsest, coarsest_error = pairs[0]
         raw = _row_bound(result, base, k, coarsest.d)
-        if raw.value <= 0.0 or coarsest.sup_error <= 0.0:
+        if raw.value <= 0.0 or coarsest_error <= 0.0:
             continue
-        constant = coarsest.sup_error / raw.value
+        constant = coarsest_error / raw.value
         constants[tag] = constant
-        for i, row in enumerate(tag_rows):
-            db = _row_bound(result, base, k, row.d, constant)
-            margin = db.value / row.sup_error if row.sup_error > 0.0 else float("inf")
+        for i, (record, error) in enumerate(pairs):
+            db = _row_bound(result, base, k, record.d, constant)
+            margin = db.value / error if error > 0.0 else float("inf")
             is_calib = i == 0
-            check_rows.append(CheckRow(row.level, row.d, tag, row.sup_error, db.value, margin,
+            check_rows.append(CheckRow(record.level, record.d, tag, error, db.value, margin,
                                        db.regime, is_calib))
             regime_counts[db.regime] += 1
             if not is_calib:
@@ -531,30 +515,28 @@ def check_bounds(result: StudyResult) -> CheckReport:
 
 
 def write_rows_csv(result: StudyResult, path) -> None:
-    """Emit the per-row measurements as CSV (LF endings, '.' decimal)."""
-    kernel = result.config.kernel
-    c_field = repr(float(kernel.c)) if kernel.c is not None else "nan"
+    """Emit the level records as CSV rows (LF endings, '.' decimal), coarse to
+    fine, the value row first within a level. A row the check walks carries
+    its regime when the value fit gives a base error; others carry NO_REGIME."""
+    config, kernel = result.config, result.config.kernel
+    kernel_fields = [kernel.family.value, repr(float(kernel.beta)),
+                     repr(float(kernel.c)) if kernel.c is not None else "nan"]
+    base = bounds.base_error(result.fits.get(VALUE_TAG), result.approximand_norm)
+    regimes = {} if base is None else {
+        (tag, record.level): _row_bound(result, base, k, record.d).regime
+        for tag, k, pairs in _derivative_rows(result) for record, _ in pairs}
+    tags = sorted(_tags(config), key=lambda tag: (tag != VALUE_TAG, tag))
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in result.rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(row.level),
-                        repr(float(row.d)),
-                        str(row.n_points),
-                        kernel.family.value,
-                        repr(float(kernel.beta)),
-                        c_field,
-                        row.alpha_tag,
-                        repr(float(row.sup_error)),
-                        repr(float(row.norm_f)),
-                        row.regime,
-                        repr(float(row.cond_estimate)),
-                    ]
-                )
-                + "\n"
-            )
+        # each tag's pairs run coarse to fine, so each step of the zip is one level
+        for level_pairs in zip(*(_coarse_to_fine(config, result.levels, tag) for tag in tags)):
+            for tag, (record, error) in zip(tags, level_pairs):
+                fields = [str(record.level), repr(float(record.d)), str(record.n_points),
+                          *kernel_fields, tag, repr(float(error)),
+                          repr(float(result.approximand_norm)),
+                          regimes.get((tag, record.level), NO_REGIME),
+                          repr(float(record.cond_estimate))]
+                fh.write(",".join(fields) + "\n")
 
 
 def read_rows_csv(path) -> list[dict]:

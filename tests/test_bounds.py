@@ -6,7 +6,6 @@ import pytest
 from rbfstudy.bounds import (
     GaussianRateFit,
     MQRateFit,
-    _interpolated_bound,
     base_error,
     base_error_fault,
     decay_exponent,
@@ -138,16 +137,18 @@ class TestDerivativeBound:
             assert result.value == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_in_order_fraction(self):
-        # relaxed-signature check at rational orders: k -> 0 gives the base
-        # error, k -> l gives the ceiling
-        base, ceiling, const = 1e-4, 7.0, 1.3
-        assert _interpolated_bound(const, base, ceiling, 0.0) == pytest.approx(const * base)
-        assert _interpolated_bound(const, base, ceiling, 1.0) == pytest.approx(const * ceiling)
-        previous = _interpolated_bound(const, base, ceiling, 0.0)
-        for frac in np.linspace(0.0, 1.0, 21)[1:]:
-            value = _interpolated_bound(const, base, ceiling, float(frac))
-            assert value >= previous  # monotone between the endpoints here
-            previous = value
+        # with a ball wide enough that the ceiling is the top bound, the bound
+        # runs geometrically in k/l from the base error (k -> 0) to the
+        # ceiling (k -> l), rising monotonically between them
+        base, ceiling, const, l = 1e-4, 7.0, 1.3, 20
+        previous = const * base
+        for k in range(1, l):
+            result = derivative_bound(k, l, 1e6, base, ceiling, const)
+            assert result.regime == "small-d"
+            assert result.value == pytest.approx(const * base * (ceiling / base) ** (k / l),
+                                                 rel=1e-12)
+            assert previous < result.value < const * ceiling
+            previous = result.value
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="0 < k < l"):

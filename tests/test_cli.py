@@ -142,8 +142,11 @@ def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capsys, keep, args
          "no probe of a probe_resolution 2 lattice keeps a delta-ball of 0.1 inside the domain$"),
         (lambda doc: doc["check"].update(deriv_norm_scale=0),
          "check.deriv_norm_scale must be > 0, got 0.0$"),
+        (lambda doc: doc["derivatives"].update(orders=[[1], [1]]),
+         r"derivatives.orders repeats the order \[1\]$"),
     ],
-    ids=["unknown-key", "missing-key", "not-json", "no-inner-probe", "zero-deriv-norm-scale"],
+    ids=["unknown-key", "missing-key", "not-json", "no-inner-probe", "zero-deriv-norm-scale",
+         "repeated-order"],
 )
 def test_run_refuses_a_bad_config_with_a_message(tmp_path, capsys, edit, message):
     config_path = tmp_path / "config.json"

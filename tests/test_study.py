@@ -16,9 +16,9 @@ from rbfstudy.interpolant import KernelExpansion, interpolate_expansion
 from rbfstudy.kernels import Kernel
 from rbfstudy.study import (
     ApproximandSpec,
+    LevelRecord,
     StudyConfig,
     StudyResult,
-    StudyRow,
     _double_measure,
     _inner_probe_mask,
     _level_nodes,
@@ -220,10 +220,11 @@ class TestConfig:
             (("derivatives", "orders"), 5, "derivatives.orders"),
             (("kernel", "beta"), None, "kernel.beta"),
             (("refinement",), None, "needs refinement.spacings"),
+            (("derivatives", "orders"), [[1], [1]], r"derivatives.orders repeats the order \[1\]$"),
         ],
         ids=["dim-vs-domain", "centers-dim", "centers-scheme", "counts-with-grid",
              "spacings-with-halton", "spacings-with-random", "version-bool", "orders-not-list",
-             "missing-beta", "missing-refinement"],
+             "missing-beta", "missing-refinement", "repeated-order"],
     )
     def test_config_refused_at_load_not_mid_run(self, path, value, match):
         # None deletes the key
@@ -348,8 +349,8 @@ class TestRunStudy:
             deriv_orders=(),
         )
         result = run_study(cfg)
-        for row in result.rows:
-            assert row.sup_error <= 1e-8
+        for record in result.levels:
+            assert all(error <= 1e-8 for error in record.errors)
 
     def test_polynomial_reproduction_study(self):
         cfg = tiny_config(
@@ -363,25 +364,40 @@ class TestRunStudy:
             ),
         )
         result = run_study(cfg)
-        for row in result.rows:
-            assert row.sup_error <= 1e-7
+        for record in result.levels:
+            assert all(error <= 1e-7 for error in record.errors)
 
-    def test_rows_sorted_coarse_to_fine(self):
-        result = run_study(tiny_config())
-        ds = [r.d for r in result.rows if r.alpha_tag == "0"]
-        assert ds == sorted(ds, reverse=True)
+    def test_rows_sorted_coarse_to_fine(self, tmp_path):
+        # random nodes whose fill distance does not fall with the level, so a
+        # writer or a fit walking the records in level order is caught
+        doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+        doc["tolerances"]["solver_dps"] = None
+        doc["refinement"] = {"scheme": "random", "counts": [5, 6, 7, 8]}
+        doc["seed"] = 0
+        result = run_study(StudyConfig.from_dict(doc))
+        assert [r.d for r in result.levels] == pytest.approx([0.187, 0.159, 0.399, 0.299],
+                                                             abs=1e-3)
+        write_rows_csv(result, tmp_path / "rows.csv")
+        rows = read_rows_csv(tmp_path / "rows.csv")
+        assert [(r["level"], r["alpha"]) for r in rows] == [
+            (level, tag) for level in (2, 3, 0, 1) for tag in ("0", "1")]
+        for tag in ("0", "1"):
+            samples = result.samples(tag)
+            assert samples == [(r["d"], r["sup_error"]) for r in rows if r["alpha"] == tag]
+            assert [d for d, _ in samples] == sorted((r.d for r in result.levels), reverse=True)
+        assert [r.level for r in check_bounds(result).rows] == [2, 3, 0, 1]
 
     def test_errors_shrink_with_d(self):
         result = run_study(tiny_config())
-        e0 = [r.sup_error for r in result.rows if r.alpha_tag == "0"]
+        e0 = [record.errors[0] for record in result.levels]
         assert e0[0] > e0[-1]
 
     def test_failed_level_recorded_and_excluded(self):
         cfg = tiny_config(cond_limit=1e4)  # finest grids exceed this
         result = run_study(cfg)
         assert result.failed_levels >= 1
-        failed_rows = [r for r in result.rows if math.isnan(r.sup_error)]
-        assert failed_rows
+        failed = [record for record in result.levels if record.failure is not None]
+        assert failed and all(math.isnan(e) for record in failed for e in record.errors)
         for tag in ("0", "1"):
             assert all(math.isfinite(e) for _, e in result.samples(tag))
 
@@ -393,7 +409,7 @@ class TestRunStudy:
         )
         result = run_study(config)
         assert result.failed_levels == 2
-        assert len(result.rows) == 2 * config.levels
+        assert len(result.levels) == config.levels
         readings = {2: 2.141e19, 3: 1.887e18}
         for record in result.levels:
             if record.level in readings:
@@ -402,12 +418,7 @@ class TestRunStudy:
                 assert record.failure.startswith("saddle-point system too ill-conditioned")
             else:
                 assert record.failure is None and record.mp["dps"] == config.solver_dps
-        for row in result.rows:
-            if row.level in readings:
-                assert math.isnan(row.sup_error)
-                assert row.cond_estimate == pytest.approx(readings[row.level], rel=1e-3)
-            else:
-                assert math.isfinite(row.sup_error) and row.cond_estimate < 1e15
+                assert all(map(math.isfinite, record.errors)) and record.cond_estimate < 1e15
         path = tmp_path / "config.json"
         config.save_json(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARTIAL
@@ -415,14 +426,13 @@ class TestRunStudy:
     def test_deterministic_rows(self):
         a = run_study(tiny_config())
         b = run_study(tiny_config())
-        assert [dataclasses.asdict(r) for r in a.rows] == [
-            dataclasses.asdict(r) for r in b.rows
-        ]
+        assert a.levels == b.levels and a.fits == b.fits
 
 
 class TestCsvAndSummary:
     def test_csv_schema_and_round_trip(self, tmp_path):
-        result = run_study(tiny_config())
+        config = tiny_config()
+        result = run_study(config)
         path = tmp_path / "rows.csv"
         write_rows_csv(result, path)
         text = path.read_text()
@@ -431,7 +441,7 @@ class TestCsvAndSummary:
         )
         assert "\r" not in text
         rows = read_rows_csv(path)
-        assert len(rows) == len(result.rows)
+        assert len(rows) == config.levels * (1 + len(config.deriv_orders))
         assert rows[0]["kernel"] == "gaussian"
         assert math.isnan(rows[0]["c"])
         back = [(r["d"], r["sup_error"]) for r in rows if r["alpha"] == "0"]
@@ -463,20 +473,19 @@ SYNTHETIC_FIT = MQRateFit(0.5, 0.4, 1.0)
 
 
 def _synthetic_result(config, constant, derivative_error=None):
-    """Rows of a unit-norm study whose value errors are the base error of
+    """Levels of a unit-norm study whose value errors are the base error of
     SYNTHETIC_FIT and whose order-1 errors are the calibrated bound, or
     ``derivative_error(base error)`` when given."""
     base = base_error(SYNTHETIC_FIT, 1.0)
-    rows = []
+    records = []
     for level, d in enumerate([0.2, 0.1, 0.05, 0.025]):
-        rows.append(StudyRow(level, d, 10, "0", base(d), 1.0))
         if derivative_error is None:
             error = derivative_bound(1, config.smoothness_order, config.delta, base(d),
                                      config.deriv_norm_scale, constant).value
         else:
             error = derivative_error(base(d))
-        rows.append(StudyRow(level, d, 10, "1", error, 1.0))
-    return StudyResult(config, rows, {"0": SYNTHETIC_FIT}, 0, 1.0)
+        records.append(LevelRecord(level, d, 10, (base(d), error), float("nan")))
+    return StudyResult(config, tuple(records), {"0": SYNTHETIC_FIT}, 1.0)
 
 
 def _synthetic_config(**overrides):
@@ -501,14 +510,13 @@ class TestCheckBounds:
         assert calibration_rows[0].level == 0
 
     def test_missing_fit_raises_without_params(self):
-        result = _synthetic_result(_synthetic_config(), 1.0)
-        result.fits["0"] = None
+        result = dataclasses.replace(_synthetic_result(_synthetic_config(), 1.0), fits={"0": None})
         with pytest.raises(ValueError, match="no contracting base error: there is no value fit"):
             check_bounds(result)
 
     def test_non_contracting_fit_is_refused_in_fit_terms(self):
-        result = _synthetic_result(_synthetic_config(), 1.0)
-        result.fits["0"] = MQRateFit(0.5, 1.25, 1.0)
+        result = dataclasses.replace(_synthetic_result(_synthetic_config(), 1.0),
+                                     fits={"0": MQRateFit(0.5, 1.25, 1.0)})
         with pytest.raises(ValueError, match=r"multiquadric base 1.25 lies outside \(0, 1\)"):
             check_bounds(result)
 
@@ -539,10 +547,10 @@ def _assert_extended_matches_double(**overrides):
     # are independent routes to the same sup errors
     plain = run_study(tiny_config(**overrides))
     extended = run_study(tiny_config(solver_dps=30, **overrides))
-    assert len(plain.rows) == len(extended.rows) and plain.failed_levels == 0
-    for a, b in zip(plain.rows, extended.rows):
-        assert a.alpha_tag == b.alpha_tag and a.level == b.level
-        assert a.sup_error == pytest.approx(b.sup_error, rel=1e-8)
+    assert len(plain.levels) == len(extended.levels) and plain.failed_levels == 0
+    for a, b in zip(plain.levels, extended.levels):
+        assert a.level == b.level
+        assert a.errors == pytest.approx(b.errors, rel=1e-8)
 
 
 def test_extended_precision_matches_double_path():
@@ -580,7 +588,7 @@ def test_approximand_evaluated_in_mp_once_per_study(monkeypatch):
     monkeypatch.setattr(highprec.MpCore, "expansion", counting)
     config = tiny_config(spacings=(0.5, 0.25, 0.125), solver_dps=30)
     result = run_study(config)
-    node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
+    node_counts = [record.n_points for record in result.levels]
     n_f = config.approximand.centers_count
     assert len(node_counts) == 3 and n_f not in node_counts
     # f at every probe once, plus f at each level's nodes for the right-hand side
@@ -609,7 +617,7 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", counting)
     result = run_study(config)
-    node_counts = [row.n_points for row in result.rows if row.alpha_tag == "0"]
+    node_counts = [record.n_points for record in result.levels]
     assert result.failed_levels == 0 and node_counts == [9, 25]
     # 17^2 of the 21^2 probes keep the delta-ball inside. f once per study,
     # then per level f at the nodes and the interpolant: the value alone on
@@ -625,7 +633,7 @@ def test_double_path_evaluates_all_orders_in_one_pass(monkeypatch):
         return [original(self, [a], x)[0] for a in alphas]
 
     monkeypatch.setattr(KernelExpansion, "evaluate_derivatives", per_order)
-    assert run_study(config).rows == result.rows
+    assert run_study(config).levels == result.levels
 
 
 @pytest.mark.parametrize(
@@ -668,18 +676,22 @@ def test_double_measure_matches_separate_value_and_derivative_sweeps(overrides, 
 
 
 @pytest.mark.parametrize("solver_dps", [None, 30])
-def test_one_level_record_per_level_matches_its_rows(solver_dps):
+def test_one_level_record_per_level_matches_its_rows(solver_dps, tmp_path):
+    # rows.csv holds one row per level record and tag, with the record's numbers
     config = tiny_config(spacings=(0.25, 0.125, 0.0625), probe_resolution=41,
                          solver_dps=solver_dps)
     result = run_study(config)
     tags = [alpha_tag((0,))] + [alpha_tag(a) for a in config.deriv_orders]
     assert [record.level for record in result.levels] == list(range(config.levels))
-    assert len(result.rows) == len(tags) * config.levels
+    write_rows_csv(result, tmp_path / "rows.csv")
+    rows = read_rows_csv(tmp_path / "rows.csv")
+    assert len(rows) == len(tags) * config.levels
     for record in result.levels:
-        rows = {row.alpha_tag: row for row in result.rows if row.level == record.level}
-        assert record.errors == tuple(rows[tag].sup_error for tag in tags)
-        assert all((row.d, row.n_points, row.cond_estimate)
-                   == (record.d, record.n_points, record.cond_estimate) for row in rows.values())
+        level_rows = {row["alpha"]: row for row in rows if row["level"] == record.level}
+        assert record.errors == tuple(level_rows[tag]["sup_error"] for tag in tags)
+        assert all((row["d"], row["N"], row["cond_estimate"], row["norm_f"])
+                   == (record.d, record.n_points, record.cond_estimate, result.approximand_norm)
+                   for row in level_rows.values())
         assert record.failure is None
         if solver_dps is None:
             assert record.mp is None
@@ -725,7 +737,7 @@ def _grid2d_eval_config(seed):
 
 
 @pytest.mark.parametrize("name", ["pilot_mq", "pilot_gaussian", "grid2d_eval"])
-def test_rows_and_check_decide_each_regime_once(name):
+def test_rows_and_check_decide_each_regime_once(name, tmp_path):
     # the regime column of rows.csv and the check's rows come from one decision
     if name == "grid2d_eval":
         config = _grid2d_eval_config(11)
@@ -733,10 +745,11 @@ def test_rows_and_check_decide_each_regime_once(name):
         config = StudyConfig.load_json(FIXTURES / f"{name}.json")
     result = run_study(config)
     checked = {(row.level, row.alpha_tag): row.regime for row in check_bounds(result).rows}
-    derivative_rows = [row for row in result.rows if row.alpha_tag != "0"]
+    write_rows_csv(result, tmp_path / "rows.csv")
+    derivative_rows = [row for row in read_rows_csv(tmp_path / "rows.csv") if row["alpha"] != "0"]
     assert len(checked) == len(derivative_rows) > 0
     for row in derivative_rows:
-        assert row.regime == checked[row.level, row.alpha_tag] != "-"
+        assert row["regime"] == checked[row["level"], row["alpha"]] != "-"
 
 
 def test_gorny_campaign_deterministic():
@@ -775,13 +788,13 @@ def test_rescaled_gaussian_pilot_reproduces_its_rows(scale, solver_dps):
     # step scales by a power of two: d scales by s, the value's sup error,
     # the native norm and the condition are unchanged, and a first
     # derivative's sup error scales by 1 / s, all bit for bit.
-    rows = run_study(_gaussian_pilot(1.0, solver_dps)).rows
-    scaled = run_study(_gaussian_pilot(scale, solver_dps)).rows
-    assert len(scaled) == len(rows) == 8
-    for row, twin in zip(rows, scaled):
-        assert (twin.level, twin.n_points) == (row.level, row.n_points)
-        assert twin.alpha_tag == row.alpha_tag
-        assert twin.d == scale * row.d
-        assert (twin.norm_f, twin.cond_estimate) == (row.norm_f, row.cond_estimate)
-        factor = 1.0 if row.alpha_tag == alpha_tag((0,)) else scale
-        assert factor * twin.sup_error == row.sup_error
+    result = run_study(_gaussian_pilot(1.0, solver_dps))
+    scaled = run_study(_gaussian_pilot(scale, solver_dps))
+    assert scaled.approximand_norm == result.approximand_norm
+    assert len(scaled.levels) == len(result.levels) == 4
+    for record, twin in zip(result.levels, scaled.levels):
+        assert (twin.level, twin.n_points) == (record.level, record.n_points)
+        assert twin.d == scale * record.d
+        assert twin.cond_estimate == record.cond_estimate
+        (value, derivative), (twin_value, twin_derivative) = record.errors, twin.errors
+        assert (twin_value, scale * twin_derivative) == (value, derivative)
