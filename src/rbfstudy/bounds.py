@@ -18,6 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from rbfstudy.kernels import KernelFamily
+
 GORNY_SAMPLES = 2048
 
 
@@ -162,6 +164,8 @@ def _check_samples(samples, minimum: int) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < minimum:
         raise ValueError(f"need >= {minimum} (d, error) samples, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("fill distances and errors must be finite")
     d, err = arr[:, 0], arr[:, 1]
     if np.any(d <= 0.0) or len(np.unique(d)) != len(d):
         raise ValueError("fill distances must be positive and distinct")
@@ -235,6 +239,20 @@ def fit_gaussian_rate(samples) -> GaussianRateFit:
     )
 
 
+def usable_samples(samples) -> list[tuple[float, float]]:
+    """The (d, error) samples a fit takes, in their order: those with a
+    finite, positive error. A failed level's NaN and an exact zero drop out,
+    since the log-scale fits need positive errors."""
+    return [(d, error) for d, error in samples if math.isfinite(error) and error > 0.0]
+
+
+def fit_rate(family: KernelFamily, samples):
+    """Fit the rate model of a kernel family's bound: ``fit_mq_rate`` for the
+    multiquadric, ``fit_gaussian_rate`` for the Gaussian. The fitter is looked
+    up when called, so a wrapped one is the one that runs."""
+    return (fit_mq_rate if family is KernelFamily.MULTIQUADRIC else fit_gaussian_rate)(samples)
+
+
 def fit_report_dict(fit, n_samples: int, regime_counts: dict | None = None) -> dict:
     """JSON-ready report for a fitted rate model."""
     if isinstance(fit, MQRateFit):
@@ -252,16 +270,3 @@ def fit_report_dict(fit, n_samples: int, regime_counts: dict | None = None) -> d
         "n_samples": n_samples,
         "regime_counts": dict(regime_counts or {}),
     }
-
-
-def decay_exponent(fit) -> float:
-    """Scalar decay strength of a fitted model, comparable across orders.
-
-    -log(base) for the multiquadric model, the rate for the Gaussian one;
-    larger means faster decay as d shrinks.
-    """
-    if isinstance(fit, MQRateFit):
-        return -math.log(fit.base)
-    if isinstance(fit, GaussianRateFit):
-        return fit.rate
-    raise TypeError(f"unknown fit type {type(fit)!r}")

@@ -11,12 +11,13 @@ check (or the Gorny campaign) failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
-from rbfstudy.bounds import fit_gaussian_rate, fit_mq_rate, fit_report_dict
+from rbfstudy.bounds import fit_rate, fit_report_dict, usable_samples
+from rbfstudy.kernels import KernelFamily
 from rbfstudy.study import (
     StudyConfig,
     VALUE_TAG,
@@ -100,17 +101,19 @@ def _cmd_fit(args) -> int:
         print(f"rbfstudy fit: no rows tagged {args.alpha!r} in {args.rows}; its tags are "
               f"{', '.join(map(repr, tags)) or 'none'}", file=sys.stderr)
         return EXIT_USAGE
-    samples = [
-        (row["d"], row["sup_error"])
-        for row in rows
-        if row["alpha"] == args.alpha
-        and math.isfinite(row["sup_error"])
-        and row["sup_error"] > 0.0
-    ]
+    kernels = list(dict.fromkeys(row["kernel"] for row in rows))
+    families = [family.value for family in KernelFamily]
+    if len(kernels) > 1 or kernels[0] not in families:
+        print(f"rbfstudy fit: the rows of {args.rows} must name one kernel of "
+              f"{', '.join(families)}; they name {', '.join(map(repr, kernels))}", file=sys.stderr)
+        return EXIT_USAGE
+    family = KernelFamily(kernels[0])
+    samples = usable_samples((row["d"], row["sup_error"])
+                             for row in rows if row["alpha"] == args.alpha)
     try:
-        fit = fit_mq_rate(samples) if args.model == "mq" else fit_gaussian_rate(samples)
+        fit = fit_rate(family, samples)
     except ValueError as exc:
-        print(f"rbfstudy fit: cannot fit the {args.model} model to the {len(samples)} rows "
+        print(f"rbfstudy fit: cannot fit the {family.value} model to the {len(samples)} rows "
               f"tagged {args.alpha!r} with a finite positive error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps(fit_report_dict(fit, len(samples)), indent=2, sort_keys=True))
@@ -119,18 +122,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gorny(args) -> int:
     result = run_gorny_campaign(args.trials, args.seed)
-    print(
-        json.dumps(
-            {
-                "trials": result.trials,
-                "violations": result.violations,
-                "worst_ratio": result.worst_ratio,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return EXIT_OK if result.violations == 0 else EXIT_CHECK_FAILED
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,24 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbfstudy",
         description="Refinement studies of kernel-interpolation error decay.",
     )
-    parser.add_argument("--verbose", action="store_true", help="print per-level details")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a refinement study from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the study config JSON")
     run_p.add_argument("--out", required=True, help="output directory for rows.csv and summary.json")
-    # accepted after the subcommand too; SUPPRESS keeps the root default intact
-    run_p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
+    run_p.add_argument("--verbose", action="store_true", help="print per-level details")
     run_p.set_defaults(func=_cmd_run)
 
-    fit_p = sub.add_parser("fit", help="fit a decay model to a rows CSV")
-    fit_p.add_argument("--rows", required=True, help="path to a rows CSV")
-    fit_p.add_argument("--model", required=True, choices=("mq", "gaussian"))
+    fit_p = sub.add_parser("fit", help="fit its kernel's decay model to a rows CSV")
+    fit_p.add_argument("--rows", required=True, help="path to a rows CSV of one kernel")
     fit_p.add_argument("--alpha", default=VALUE_TAG, help="row tag to fit (default: value rows)")
     fit_p.set_defaults(func=_cmd_fit)
 
     gorny_p = sub.add_parser("gorny", help="random campaign checking the derivative inequality")
-    gorny_p.add_argument("--trials", type=int, default=1000)
+    gorny_p.add_argument("--trials", type=positive_int, default=1000)
     gorny_p.add_argument("--seed", type=int, default=0)
     gorny_p.set_defaults(func=_cmd_gorny)
     return parser

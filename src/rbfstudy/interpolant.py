@@ -70,10 +70,6 @@ class InterpolationProblem:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def cpd_order(self) -> int:
-        return self.kernel.cpd_order
-
 
 @dataclass(frozen=True)
 class KernelExpansion:

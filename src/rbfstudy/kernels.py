@@ -170,19 +170,19 @@ class Kernel:
         out = out.reshape(x.shape[:-1])
         return float(out) if out.ndim == 0 else out
 
-    def cross(self, alpha, x, centers, out=None) -> np.ndarray:
+    def cross(self, alpha, x, centers) -> np.ndarray:
         """alpha-derivative of the kernel at every difference ``x_i - z_j``.
 
         x (n, dim) and centers (m, dim) give an (n, m) matrix, filled block
         by block from ``blocks``, so the kernel core's arrays do not grow
-        with the matrix. The matrix is written into ``out`` when it is
-        given, an (n, m) array or view, and returned.
+        with the matrix.
         """
-        return self._fill(alpha, self._check_points(x), self._check_points(centers), out)
+        return self._fill(alpha, self._check_points(x), self._check_points(centers))
 
     def gram(self, points: np.ndarray, out=None) -> np.ndarray:
-        """Symmetric matrix of kernel values on all pairwise differences,
-        written into ``out`` when it is given (see ``cross``)."""
+        """Symmetric matrix of kernel values on all pairwise differences (a
+        ``cross`` of the points with themselves), written into ``out`` when it
+        is given, an (n, n) array or view, and returned."""
         points = self._check_points(points)
         return self._fill((0,) * self.dim, points, points, out)
 

@@ -8,7 +8,7 @@ solvability of the augmented interpolation system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
@@ -121,13 +121,6 @@ class MonomialBasis:
                     term = term * x[..., j] ** e
             out = out + term
         return out
-
-
-def polynomial_space_dim(dim: int, m: int) -> int:
-    """Dimension of the polynomials of degree <= m-1 on R^dim (0 for m=0)."""
-    if m <= 0:
-        return 0
-    return comb(dim + m - 1, dim)
 
 
 def basis_matrix(basis: MonomialBasis, points: np.ndarray) -> np.ndarray:

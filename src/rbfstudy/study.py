@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbfstudy import bounds, highprec
-from rbfstudy.bounds import (
-    GaussianRateFit,
-    MQRateFit,
-    fit_gaussian_rate,
-    fit_mq_rate,
-    fit_report_dict,
-    gorny_oracle_check,
-)
+from rbfstudy.bounds import GaussianRateFit, MQRateFit, fit_report_dict, gorny_oracle_check
 from rbfstudy.configvalues import (check, choice, flag, integer, key, list_of, nested, number,
                                    read, write)
 from rbfstudy.geometry import (
@@ -213,11 +206,6 @@ class StudyConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def save_json(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def build_approximand(config: StudyConfig) -> KernelExpansion:
     """Construct the study's kernel-expansion approximand.
@@ -280,9 +268,8 @@ class StudyResult:
         return sum(record.failure is not None for record in self.levels)
 
     def samples(self, tag: str) -> list[tuple[float, float]]:
-        """Fit samples for one row tag, coarsest first: solver failures (NaN)
-        and exact zeros are excluded, since the log-scale fits need positive errors."""
-        return _samples(_coarse_to_fine(self.config, self.levels, tag))
+        """Fit samples for one row tag, coarsest first (``bounds.usable_samples``)."""
+        return _samples(self.config, self.levels, tag)
 
 
 def _tags(config: StudyConfig) -> list[str]:
@@ -298,8 +285,8 @@ def _coarse_to_fine(config: StudyConfig, levels, tag: str) -> list[tuple[LevelRe
     return [(r, r.errors[index]) for r in sorted(levels, key=lambda r: (-r.d, r.level))]
 
 
-def _samples(pairs) -> list[tuple[float, float]]:
-    return [(r.d, error) for r, error in pairs if math.isfinite(error) and error > 0.0]
+def _samples(config: StudyConfig, levels, tag: str) -> list[tuple[float, float]]:
+    return bounds.usable_samples((r.d, error) for r, error in _coarse_to_fine(config, levels, tag))
 
 
 def _level_nodes(config: StudyConfig, level: int) -> PointSet:
@@ -327,7 +314,7 @@ def _inner_probe_mask(domain: CubeDomain, probes: np.ndarray, delta: float) -> n
 
 def _fit_samples(family: KernelFamily, samples):
     try:
-        return (fit_mq_rate if family is KernelFamily.MULTIQUADRIC else fit_gaussian_rate)(samples)
+        return bounds.fit_rate(family, samples)
     except ValueError:
         return None
 
@@ -416,8 +403,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             records.append(LevelRecord(level, d, len(nodes), (float("nan"),) * len(tags),
                                        exc.cond_estimate, failure=str(exc)))
 
-    fits = {tag: _fit_samples(config.kernel.family, _samples(_coarse_to_fine(config, records, tag)))
-            for tag in tags}
+    fits = {tag: _fit_samples(config.kernel.family, _samples(config, records, tag)) for tag in tags}
     return StudyResult(config, tuple(records), fits, norm_f)
 
 

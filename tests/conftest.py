@@ -1,4 +1,13 @@
+import json
+
 import numpy as np
+
+
+def write_config(config, path):
+    """Write a study config as its JSON file: sorted keys, indent 2, LF."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _iterated_central(func, alpha, x, step):

@@ -8,7 +8,6 @@ from rbfstudy.bounds import (
     MQRateFit,
     base_error,
     base_error_fault,
-    decay_exponent,
     derivative_bound,
     fit_gaussian_rate,
     fit_mq_rate,
@@ -255,9 +254,16 @@ class TestFitters:
         with pytest.raises(ValueError):
             fit_gaussian_rate([(0.4, 1.0), (0.2, 0.5), (0.1, 0.25)])
 
-    def test_decay_exponent(self):
-        assert decay_exponent(MQRateFit(1.0, math.exp(-2.0), 1.0)) == pytest.approx(2.0)
-        assert decay_exponent(GaussianRateFit(1.0, 0.5, 1.3, 1.0)) == pytest.approx(1.3)
+    @pytest.mark.parametrize("fitter", [fit_mq_rate, fit_gaussian_rate])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("column", [0, 1], ids=["d", "error"])
+    def test_non_finite_samples_are_refused(self, fitter, bad, column):
+        # an infinite d once gave a multiquadric fit of base 0.708 and r2 0.964,
+        # and a NaN one reached LAPACK, which printed to stderr before failing
+        samples = [[0.2, 1e-3], [0.1, 1e-4], [0.05, 1e-6], [0.025, 1e-9]]
+        samples[0][column] = bad
+        with pytest.raises(ValueError, match="^fill distances and errors must be finite$"):
+            fitter(samples)
 
 
 class TestFitReports:

@@ -9,6 +9,8 @@ from rbfstudy.geometry import CubeDomain
 from rbfstudy.kernels import Kernel
 from rbfstudy.study import ApproximandSpec, StudyConfig
 
+from conftest import write_config
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
@@ -30,7 +32,7 @@ def write_tiny_config(path, **overrides):
         seed=3,
     )
     defaults.update(overrides)
-    StudyConfig(**defaults).save_json(path)
+    write_config(StudyConfig(**defaults), path)
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -98,7 +100,7 @@ def test_fit_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out)])
     capsys.readouterr()
-    code = main(["fit", "--rows", str(out / "rows.csv"), "--model", "gaussian"])
+    code = main(["fit", "--rows", str(out / "rows.csv")])
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["model"] == "gaussian"
@@ -106,25 +108,49 @@ def test_fit_subcommand(tmp_path, capsys):
     assert report["params"]["rate"] > 0.0
 
 
+def _set_field(lines, column, value, targets=(3,)):
+    """Rows CSV ``lines`` with field ``column`` of each line in ``targets``
+    set to ``value``; line 3 of a pilot's rows is the value row of level 1."""
+    lines = list(lines)
+    for i in targets:
+        fields = lines[i].split(",")
+        fields[column] = value
+        lines[i] = ",".join(fields)
+    return lines
+
+
 @pytest.mark.parametrize(
-    "keep, args, message",
+    "edit, args, message",
     [
-        (None, ["--model", "mq", "--alpha", "1-0"],
+        (None, ["--alpha", "1-0"],
          "no rows tagged '1-0' in .*; its tags are '0', '1'$"),
-        (5, ["--model", "mq"], r"the 2 rows tagged '0' .*: need >= 3"),
-    ],
-    ids=["unknown-tag", "too-few-rows"],
-)
-def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capsys, keep, args, message):
-    rows = GOLDEN / "pilot_mq" / "rows.csv"
-    if keep is not None:
         # the header and the first two levels
-        lines = rows.read_text().splitlines(keepends=True)[:keep]
+        (lambda lines: lines[:5], [],
+         r"cannot fit the multiquadric model to the 2 rows tagged '0' .*: need >= 3"),
+        (lambda lines: _set_field(lines, 1, "inf"), [],
+         "the 4 rows tagged '0' with a finite positive error: fill distances and errors "
+         "must be finite$"),
+        (lambda lines: _set_field(lines, 1, "nan"), [],
+         "the 4 rows tagged '0' with a finite positive error: fill distances and errors "
+         "must be finite$"),
+        (lambda lines: _set_field(lines, 3, "gaussian"), [],
+         "must name one kernel of multiquadric, gaussian; they name 'multiquadric', "
+         "'gaussian'$"),
+        (lambda lines: _set_field(lines, 3, "mq", range(1, 9)), [],
+         "must name one kernel of multiquadric, gaussian; they name 'mq'$"),
+    ],
+    ids=["unknown-tag", "too-few-rows", "infinite-d", "nan-d", "two-kernels", "unknown-kernel"],
+)
+def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capfd, edit, args, message):
+    # capfd also sees what LAPACK would print to the process's stderr
+    rows = GOLDEN / "pilot_mq" / "rows.csv"
+    if edit is not None:
+        lines = edit(rows.read_text().splitlines())
         rows = tmp_path / "rows.csv"
-        rows.write_text("".join(lines))
+        rows.write_text("\n".join(lines) + "\n")
     code = main(["fit", "--rows", str(rows)] + args)
     assert code == EXIT_USAGE == 2
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert re.search(message, captured.err.strip())
@@ -191,7 +217,7 @@ def test_run_refuses_centers_the_scheme_cannot_use(tmp_path, capsys, centers, me
 @pytest.mark.parametrize(
     "args",
     [["run", "--config", "{missing}", "--out", "{out}"],
-     ["fit", "--rows", "{missing}", "--model", "mq"]],
+     ["fit", "--rows", "{missing}"]],
     ids=["run", "fit"],
 )
 def test_missing_input_file_is_one_line_and_exit_2(tmp_path, capsys, args):
@@ -219,7 +245,7 @@ def test_run_refuses_an_out_path_that_is_a_file_before_the_study(tmp_path, capsy
 
 def test_fit_refuses_a_file_that_is_not_a_rows_csv(capsys):
     config = FIXTURES / "pilot_mq.json"
-    code = main(["fit", "--rows", str(config), "--model", "mq"])
+    code = main(["fit", "--rows", str(config)])
     assert code == EXIT_USAGE == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -243,7 +269,7 @@ def test_fit_refuses_a_malformed_row_naming_its_line(tmp_path, capsys, edit, mes
     lines[2] = ",".join(edit(lines[2].split(",")))
     rows = tmp_path / "rows.csv"
     rows.write_text("\n".join(lines) + "\n")
-    code = main(["fit", "--rows", str(rows), "--model", "mq"])
+    code = main(["fit", "--rows", str(rows)])
     assert code == EXIT_USAGE == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -256,11 +282,31 @@ def test_fit_refuses_a_header_that_repeats_a_column(tmp_path, capsys):
     lines = [lines[0] + ",d"] + [line + ",7.0" for line in lines[1:]]
     rows = tmp_path / "rows.csv"
     rows.write_text("\n".join(lines) + "\n")
-    code = main(["fit", "--rows", str(rows), "--model", "mq"])
+    code = main(["fit", "--rows", str(rows)])
     assert code == EXIT_USAGE == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"rbfstudy fit: {rows} is not a rows CSV: repeated columns d\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gorny", "--trials", "-5"], "argument --trials: must be at least 1, got -5"),
+        (["gorny", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        (["--verbose", "run", "--config", "c.json", "--out", "out"],
+         "unrecognized arguments: --verbose"),
+        (["fit", "--rows", "rows.csv", "--model", "mq"], "unrecognized arguments: --model mq"),
+    ],
+    ids=["negative-trials", "zero-trials", "verbose-before-run", "fit-model"],
+)
+def test_bad_argument_exits_2_before_any_work(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
 
 
 def test_gorny_subcommand(capsys):
@@ -278,14 +324,10 @@ def test_gorny_subcommand(capsys):
 def test_verbose_prints_levels(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     write_tiny_config(config_path, check_enabled=False)
-    for argv in (
-        ["--verbose", "run", "--config", str(config_path), "--out", str(tmp_path / "a")],
-        ["run", "--config", str(config_path), "--out", str(tmp_path / "b"), "--verbose"],
-    ):
-        code = main(argv)
-        assert code == EXIT_OK
-        captured = capsys.readouterr().out
-        assert "level 0" in captured and "cond=" in captured
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path), "--verbose"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr().out
+    assert "level 0" in captured and "cond=" in captured
 
 
 def test_verbose_prints_mp_diagnostics(tmp_path, capsys):

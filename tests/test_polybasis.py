@@ -3,12 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from rbfstudy.polybasis import (
-    MonomialBasis,
-    basis_matrix,
-    is_determining_set,
-    polynomial_space_dim,
-)
+from rbfstudy.polybasis import MonomialBasis, basis_matrix, is_determining_set
 
 
 class TestMonomialBasis:
@@ -32,7 +27,6 @@ class TestMonomialBasis:
     def test_size_is_binomial(self, dim, m):
         basis = MonomialBasis.for_cpd_order(dim, m)
         assert basis.size == comb(dim + m - 1, dim)
-        assert basis.size == polynomial_space_dim(dim, m)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
