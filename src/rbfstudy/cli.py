@@ -126,12 +126,13 @@ def _cmd_gorny(args) -> int:
     return EXIT_OK if result.violations == 0 else EXIT_CHECK_FAILED
 
 
-def positive_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(minimum: int):
+    """argparse type of an integer of at least ``minimum``."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.set_defaults(func=_cmd_fit)
 
     gorny_p = sub.add_parser("gorny", help="random campaign checking the derivative inequality")
-    gorny_p.add_argument("--trials", type=positive_int, default=1000)
-    gorny_p.add_argument("--seed", type=int, default=0)
+    gorny_p.add_argument("--trials", type=at_least(1), default=1000)
+    gorny_p.add_argument("--seed", type=at_least(0), default=0)
     gorny_p.set_defaults(func=_cmd_gorny)
     return parser
 

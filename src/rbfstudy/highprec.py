@@ -34,11 +34,13 @@ axis negates exactly the orders whose alpha entries on the reflected
 axes sum to an odd number. A core therefore refuses any precision or
 rounding but the ones it was built at, ``measure_level`` any kernel or
 orders but its own, and ``approximand_on_probes`` an f of another kernel.
-The kernel body and the hot loops (expansion sums, LU row updates and
-substitutions) run on raw ``_mpf_`` tuples through the ``mpmath.libmp``
-calls the ``mpf`` operators and ``mp.exp`` make (``mpf_add``/``mpf_sub``/
-``mpf_mul``/``mpf_div``/``mpf_exp``/``mpf_pow``/``mpf_pow_int``), at the
-core's precision and rounding.
+The kernel body runs on raw ``_mpf_`` tuples through the ``mpmath.libmp``
+calls the ``mpf`` operators and ``mp.exp`` make. The hot loops (expansion
+sums, LU row updates and substitutions) run on integer mantissas, each
+product and sum rounded half-even to the working precision in the same
+order; a correctly rounded result is unique (Muller et al., *Handbook of
+Floating-Point Arithmetic*, 2018, ch. 2), so the bits are those of the
+``mpf_mul`` and ``mpf_add``/``mpf_sub`` calls they replace.
 """
 
 from __future__ import annotations
@@ -66,12 +68,13 @@ class MpCore:
     are the double path's, with their numbers made ``mpf``.
 
     ``memo`` maps a difference's per-axis absolute values (each ``_mpf_``
-    tuple less its sign bit) to the raw kernel values of every order
-    there; a lookup flips order alpha exactly when the alpha entries of
-    the negative axes sum to an odd number. ``lookups`` counts the
-    differences asked for. Both live as long as the core, which ``kernel``
-    and ``expansion`` refuse at any precision or rounding but its own, and
-    ``source`` and ``orders`` name the kernel and orders it serves."""
+    tuple less its sign bit) to the (signed mantissa, exponent) pairs of
+    every order's kernel value there; a lookup flips order alpha exactly
+    when the alpha entries of the negative axes sum to an odd number.
+    ``lookups`` counts the differences asked for. Both live as long as the
+    core, which ``kernel`` and ``expansion`` refuse at any precision or
+    rounding but its own, and ``source`` and ``orders`` name the kernel and
+    orders it serves."""
 
     def __init__(self, kernel: Kernel, alphas, dps: int):
         with mp.workdps(dps):
@@ -129,12 +132,12 @@ class MpCore:
         self.lookups += 1
         values = self.memo.get(key) or self._evaluate(key)
         flips = self.flips[tuple([v[0] for v in raw])]
-        return [mp.make_mpf(mpf_neg(v) if flip else v)
-                for v, flip in zip(values[:count], flips)]
+        return [mp.make_mpf(_raw(-m if flip else m, e))
+                for (m, e), flip in zip(values[:count], flips)]
 
     def _evaluate(self, key) -> list:
-        """The uncached kernel body: the raw values of every order at the
-        absolute difference ``key``, stored in the memo."""
+        """The uncached kernel body: every order's value at the absolute
+        difference ``key`` as a (signed mantissa, exponent) pair, memoized."""
         prec, rnd = self.prec, self.rounding
         diff = [(0,) + v for v in key]
         t = mpf_mul(diff[0], diff[0], prec, rnd)
@@ -156,7 +159,7 @@ class MpCore:
                 value = profile[j] if poly is None else mpf_mul(
                     _poly_value(poly, diff, prec, rnd), profile[j], prec, rnd)
                 total = value if total is None else mpf_add(total, value, prec, rnd)
-            out.append(total)
+            out.append(_pair(total))
         self.memo[key] = out
         return out
 
@@ -165,23 +168,89 @@ class MpCore:
         plus ``sum_i poly_coeffs[i] * monomial_i(x)``."""
         self._check_prec()
         prec, rnd = self.prec, self.rounding
-        memo, flips, point = self.memo, self.flips, [v._mpf_ for v in x]
-        totals = [fzero] * count
-        for center, weight in zip(centers, weights):
-            diff = [mpf_sub(xv, cv._mpf_, prec, rnd) for xv, cv in zip(point, center)]
-            key = tuple([v[1:] for v in diff])
-            w = weight._mpf_
-            # w * -v and -w * v round alike under round-to-nearest
-            totals = [mpf_add(total, mpf_mul(mpf_neg(w) if flip else w, v, prec, rnd), prec, rnd)
-                      for total, v, flip in zip(totals, memo.get(key) or self._evaluate(key),
-                                                flips[tuple([v[0] for v in diff])])]
+        memo, point = self.memo, [v._mpf_ for v in x]
+        # per axis, x less each center's coordinate; per center, its key and signs
+        diffs = [list(map(mpf_sub, itertools.repeat(xv), [c[axis]._mpf_ for c in centers],
+                          itertools.repeat(prec), itertools.repeat(rnd)))
+                 for axis, xv in enumerate(point)]
+        values = [memo.get(key) or self._evaluate(key)
+                  for key in zip(*[[v[1:] for v in diff] for diff in diffs])]
+        signs = map(self.flips.__getitem__, zip(*[[v[0] for v in diff] for diff in diffs]))
         self.lookups += len(centers)
-        for k in range(count):
-            for coeff, mono in zip(poly_coeffs, self.monomials[k]):
-                if mono is not None:
-                    totals[k] = mpf_add(totals[k], mpf_mul(
-                        coeff._mpf_, _poly_value(mono, point, prec, rnd), prec, rnd), prec, rnd)
-        return [mp.make_mpf(v) for v in totals]
+        weights = [(-m if s else m, e) for s, m, e, _ in [w._mpf_ for w in weights]]
+        coeffs = [_pair(c._mpf_) for c in poly_coeffs]
+        out = []
+        # per order, the centers' terms in order (w * -v and -(w * v) round alike), then the basis's
+        columns = zip(zip(*values), zip(*signs)) if centers else [((), ())] * count
+        for (column, negate), monos in zip(columns, self.monomials[:count]):
+            tail = [(0, 0) if m is None else _pair(_poly_value(m, point, prec, rnd)) for m in monos]
+            total = _dot((0, 0), weights, column, prec, negate)
+            out.append(mp.make_mpf(_raw(*_dot(total, coeffs, tail, prec))))
+        return out
+
+
+def _pair(raw) -> tuple:
+    """A raw ``_mpf_`` tuple as (signed mantissa, exponent)."""
+    return -raw[1] if raw[0] else raw[1], raw[2]
+
+
+def _raw(man: int, exp: int) -> tuple:
+    """(signed mantissa, exponent) as the normalized ``_mpf_`` tuple libmp reads."""
+    if not man:
+        return fzero
+    sign, man = (1, -man) if man < 0 else (0, man)
+    zeros = (man & -man).bit_length() - 1
+    return sign, man >> zeros, exp + zeros, man.bit_length() - zeros
+
+
+def _dot(total, xs, ys, prec, negate=itertools.repeat(0)) -> tuple:
+    """``total`` plus each ``x * y`` in turn, negated where ``negate`` is
+    true, on (signed mantissa, exponent) pairs, each product and each sum
+    rounded half-even to ``prec`` bits. A correctly rounded result is unique,
+    so for a ``total`` that fits in ``prec`` bits these are the bits of
+    ``total = mpf_add(total, mpf_mul(x, +-y, prec, rnd), prec, rnd)``."""
+    tm, te = total
+    for (xm, xe), (ym, ye), neg in zip(xs, ys, negate):
+        p, e = (-xm if neg else xm) * ym, xe + ye
+        if not p:
+            continue
+        if (n := p.bit_length() - prec) > 0:
+            r = p >> n - 1
+            p, e = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << n - 1) else r >> 1, e + n
+        if tm:
+            if te < e:
+                tm, te, p, e = p, e, tm, te
+            p += tm << te - e
+            if (n := p.bit_length() - prec) > 0:
+                r = p >> n - 1
+                p, e = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << n - 1) else r >> 1, e + n
+        tm, te = p, e
+    return tm, te
+
+
+def _axpy(row, factor, tail, prec) -> list:
+    """``v + factor * u`` for each raw entry v of ``row`` and pair u of
+    ``tail``, rounded as ``_dot`` rounds, as normalized raw tuples."""
+    fm, fe = factor
+    out = []
+    for v, (um, ue) in zip(row, tail):
+        p, e = fm * um, fe + ue
+        if p:
+            if (n := p.bit_length() - prec) > 0:
+                r = p >> n - 1
+                p, e = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << n - 1) else r >> 1, e + n
+            sign, tm, te, _ = v
+            if tm:
+                tm = -tm if sign else tm
+                if te < e:
+                    tm, te, p, e = p, e, tm, te
+                p += tm << te - e
+                if (n := p.bit_length() - prec) > 0:
+                    r = p >> n - 1
+                    p, e = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << n - 1) else r >> 1, e + n
+            v = _raw(p, e)
+        out.append(v)
+    return out
 
 
 def _poly_value(poly, x, prec, rnd):
@@ -221,8 +290,9 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
     as pivot, tolerance ``mnorm(A, 1) * eps``. Returns ``(x, factors, pivots)``:
     the packed L\\U rows and the row swapped in at each step. A row sum or
     pivot at or below the tolerance raises SingularSystemError reporting
-    ``cond_estimate``. The work runs on raw ``_mpf_`` tuples with the libmp
-    calls the mpf operators make, in their order."""
+    ``cond_estimate``. The work runs in the mpf operators' order, the row
+    updates and substitutions on integer mantissas, and keeps the normalized
+    ``_mpf_`` tuples libmp reads in the pivot search and the divisions."""
     n = len(system)
     with mp.workprec(mp.prec + 10):
         prec, rnd = mp._prec_rounding
@@ -247,23 +317,22 @@ def lu_solve(system: list, rhs: list, cond_estimate: float):
             top = a[j]
             if mpf_le(mpf_abs(top[j], prec, rnd), tol):
                 raise SingularSystemError(f"mp LU pivot {j} below tolerance", cond_estimate)
-            tail = top[j + 1:]
+            tail = [_pair(u) for u in top[j + 1:]]
             for row in a[j + 1:]:
                 factor = row[j] = mpf_div(row[j], top[j], prec, rnd)
-                row[j + 1:] = [mpf_sub(v, mpf_mul(factor, u, prec, rnd), prec, rnd)
-                               for v, u in zip(row[j + 1:], tail)]
-        x = [v._mpf_ for v in rhs]
+                if factor[1]:
+                    # v - factor * u, as RN(-y) = -RN(y)
+                    row[j + 1:] = _axpy(row[j + 1:], _pair(mpf_neg(factor)), tail, prec)
+        x = [_pair(v._mpf_) for v in rhs]
         for k, p in enumerate(pivots):
             x[k], x[p] = x[p], x[k]
         for i in range(1, n):
-            for j in range(i):
-                x[i] = mpf_sub(x[i], mpf_mul(a[i][j], x[j], prec, rnd), prec, rnd)
+            x[i] = _dot(x[i], map(_pair, a[i][:i]), x[:i], prec, itertools.repeat(1))
         for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                x[i] = mpf_sub(x[i], mpf_mul(a[i][j], x[j], prec, rnd), prec, rnd)
-            x[i] = mpf_div(x[i], a[i][i], prec, rnd)
+            x[i] = _dot(x[i], map(_pair, a[i][i + 1:]), x[i + 1:], prec, itertools.repeat(1))
+            x[i] = _pair(mpf_div(_raw(*x[i]), a[i][i], prec, rnd))
     make = mp.make_mpf
-    return [make(v) for v in x], [[make(v) for v in row] for row in a], pivots
+    return [make(_raw(*v)) for v in x], [[make(v) for v in row] for row in a], pivots
 
 
 def measure_level(kernel: Kernel, centers: np.ndarray, weights: np.ndarray,

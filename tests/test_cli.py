@@ -294,11 +294,12 @@ def test_fit_refuses_a_header_that_repeats_a_column(tmp_path, capsys):
     [
         (["gorny", "--trials", "-5"], "argument --trials: must be at least 1, got -5"),
         (["gorny", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        (["gorny", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
         (["--verbose", "run", "--config", "c.json", "--out", "out"],
          "unrecognized arguments: --verbose"),
         (["fit", "--rows", "rows.csv", "--model", "mq"], "unrecognized arguments: --model mq"),
     ],
-    ids=["negative-trials", "zero-trials", "verbose-before-run", "fit-model"],
+    ids=["negative-trials", "zero-trials", "negative-seed", "verbose-before-run", "fit-model"],
 )
 def test_bad_argument_exits_2_before_any_work(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ evaluation (one kernel derivative, one monomial, one expansion at a time).
 recorded by a study do not depend on how the work is shared.
 """
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -16,13 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import (dps_to_prec, fone, from_man_exp, fzero, mpf_add, mpf_gt, mpf_mul,
+                          mpf_neg, mpf_sub, round_nearest)
 
 from rbfstudy.geometry import CubeDomain, generate_points, uniform_grid
-from rbfstudy.highprec import MpCore, approximand_on_probes, lu_solve, measure_level
+from rbfstudy.highprec import (MpCore, _axpy, _dot, _pair, _raw, approximand_on_probes, lu_solve,
+                               measure_level)
 from rbfstudy.interpolant import SingularSystemError
 from rbfstudy.kernels import Kernel, KernelFamily, derivative_terms
 from rbfstudy.polybasis import MonomialBasis
-from rbfstudy.study import StudyConfig, _inner_probe_mask, build_approximand, run_study
+from rbfstudy.study import (ApproximandSpec, StudyConfig, _inner_probe_mask, build_approximand,
+                            run_study)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DPS = 50
@@ -210,10 +215,12 @@ def test_lu_solve_matches_mpmath_at_depth():
 
 
 class _Pilot:
-    """One pilot fixture's config, approximand, probes and f in mp."""
+    """One pilot fixture's (or a given config's) config, approximand, probes
+    and f in mp."""
 
-    def __init__(self, name):
-        self.config = config = StudyConfig.load_json(FIXTURES / f"{name}.json")
+    def __init__(self, source):
+        self.config = config = (source if isinstance(source, StudyConfig)
+                                else StudyConfig.load_json(FIXTURES / f"{source}.json"))
         self.f = build_approximand(config)
         self.probes = uniform_grid(config.domain, config.probe_resolution)
         self.inner_mask = _inner_probe_mask(config.domain, self.probes, config.delta)
@@ -291,6 +298,41 @@ def test_level_matches_plain_reference(pilot, level):
     got, _ = pilot.measure(level, pilot.core)
     assert len(got) == len(expected)
     assert all(_same(a, b) for a, b in zip(got, expected))
+
+
+def _scattered_level_matches_plain_reference(config):
+    """The first level of a config whose scheme is not a grid, by
+    ``measure_level`` and by ``_reference_sups``, bit for bit."""
+    pilot = _Pilot(config)
+    nodes = generate_points(config.domain, config.refinement_scheme, count=config.counts[0],
+                            seed=config.seed).points
+    with mp.workdps(config.solver_dps):
+        expected = _reference_sups(pilot, nodes)
+    got, stats = measure_level(config.kernel, pilot.f.centers.points, pilot.f.weights,
+                               pilot.f.poly_coeffs, nodes, pilot.probes,
+                               pilot.probes[pilot.inner_mask], config.deriv_orders, pilot.f_mp,
+                               1.0, pilot.core)
+    assert stats["dps"] == config.solver_dps
+    assert len(got) == len(expected) == 1 + len(config.deriv_orders)
+    assert all(_same(a, b) for a, b in zip(got, expected))
+
+
+def test_halton_2d_level_matches_plain_reference():
+    # beta 3: a linear polynomial part, whose derivatives enter the tail
+    _scattered_level_matches_plain_reference(StudyConfig(
+        Kernel.multiquadric(3.0, 0.7, 2), CubeDomain(2, (0.0, 0.0), 1.0),
+        approximand=ApproximandSpec(centers_scheme="explicit",
+                                    centers_points=((-0.5, 0.3), (1.4, 1.2), (0.2, -0.6),
+                                                    (1.3, -0.2), (-0.4, 1.5), (0.6, 1.6))),
+        refinement_scheme="halton", counts=(12,), deriv_orders=((1, 0), (0, 1), (1, 1)),
+        smoothness_order=3, probe_resolution=9, solver_dps=DPS))
+
+
+def test_random_level_at_dps_100_matches_plain_reference():
+    config = StudyConfig.load_json(FIXTURES / "pilot_mq.json")
+    _scattered_level_matches_plain_reference(dataclasses.replace(
+        config, refinement_scheme="random", spacings=None, counts=(9,), probe_resolution=41,
+        solver_dps=100))
 
 
 def _exact_diff(a, b):
@@ -520,3 +562,132 @@ def test_approximand_core_must_match_the_kernel_of_f(mq_pilot):
     with pytest.raises(ValueError, match="MpCore"):
         mq_pilot.f_on_probes(core)
     assert not core.memo and core.lookups == 0
+
+
+# The integer-mantissa loops against the libmp calls they replace, at the
+# working precisions of dps 50, of the LU at dps 50 and of dps 100.
+PRECS = [dps_to_prec(50), dps_to_prec(50) + 10, dps_to_prec(100)]
+
+
+def _num(man, exp=0):
+    return from_man_exp(man, exp)
+
+
+def _term_by_libmp(total, x, y, neg, prec):
+    return mpf_add(total, mpf_mul(x, mpf_neg(y) if neg else y, prec, round_nearest),
+                   prec, round_nearest)
+
+
+def _term(total, x, y, neg, prec):
+    return _raw(*_dot(_pair(total), [_pair(x)], [_pair(y)], prec, [neg]))
+
+
+def _lu_step_by_libmp(v, factor, u, prec):
+    return mpf_sub(v, mpf_mul(factor, u, prec, round_nearest), prec, round_nearest)
+
+
+def _lu_step(v, factor, u, prec):
+    return _axpy([v], _pair(mpf_neg(factor)), [_pair(u)], prec)[0]
+
+
+def _assert_term_and_lu_step(total, x, y, prec):
+    for neg in (0, 1):
+        assert _term(total, x, y, neg, prec) == _term_by_libmp(total, x, y, neg, prec)
+    assert _lu_step(total, x, y, prec) == _lu_step_by_libmp(total, x, y, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_rounding_breaks_product_ties_to_even(prec):
+    # (2^a + 1)(2^b + 1) with a + b = prec has prec + 1 bits and ends in a
+    # lone 1: a tie, kept as 2^(a-1) + 2^(b-1) + 2^(prec-1), odd for b = 1
+    for b, up in ((1, True), (2, False), (5, False)):
+        x, y = _num(2 ** (prec - b) + 1, -7), _num(2 ** b + 1, 3)
+        exact = mpf_mul(x, y)
+        rounded = _term_by_libmp(fzero, x, y, 0, prec)
+        assert mpf_gt(rounded, exact) if up else mpf_gt(exact, rounded)
+        for total in (fzero, _num(3, -20 - prec), _num(-5, 2 * prec)):
+            _assert_term_and_lu_step(total, x, y, prec)
+            _assert_term_and_lu_step(total, mpf_neg(x), y, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_rounding_breaks_sum_ties_to_even(prec):
+    # 2t + 1 for a prec-bit t is a tie between t and t + 1
+    for t, up in ((2 ** prec - 1, True), (2 ** prec - 2, False), (2 ** (prec - 1) + 1, True)):
+        total = _num(t, 1)
+        rounded = _term_by_libmp(total, fone, fone, 0, prec)
+        assert mpf_gt(rounded, _num(2 * t + 1)) if up else mpf_gt(_num(2 * t + 1), rounded)
+        for sign in (1, -1):
+            _assert_term_and_lu_step(_num(sign * t, 1), _num(sign), fone, prec)
+            _assert_term_and_lu_step(_num(sign * t, 1), _num(-sign), fone, prec)
+            _assert_term_and_lu_step(_num(sign * (2 * t + 1)), _num(sign), fone, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_rounding_cancels_to_exact_zero(prec):
+    x, y = _num(2 ** prec - 3, -40), _num(12345, 17)
+    product = mpf_mul(x, y, prec, round_nearest)
+    assert _term(product, x, y, 1, prec) == _term_by_libmp(product, x, y, 1, prec) == fzero
+    assert _lu_step(product, x, y, prec) == fzero
+    # a chain through zero: the next term starts afresh
+    chain = [(x, y, 0), (x, y, 1), (fone, _num(3, -5), 1), (y, y, 0)]
+    expected = fzero
+    for a, b, neg in chain:
+        expected = _term_by_libmp(expected, a, b, neg, prec)
+    got = _dot((0, 0), [_pair(a) for a, _, _ in chain], [_pair(b) for _, b, _ in chain], prec,
+               [neg for _, _, neg in chain])
+    assert _raw(*got) == expected
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_rounding_across_exponent_gaps_past_twice_prec(prec):
+    # libmp perturbs the lower operand here; the exact sum rounds alike
+    gap = 2 * prec + 10
+    for big in (fone, _num(2 ** prec - 1, 4), _num(7, -3)):
+        for small in (_num(1, -gap), _num(2 ** prec - 1, -gap - prec), _num(-3, -gap)):
+            for total, x in ((big, small), (small, big)):
+                _assert_term_and_lu_step(total, x, fone, prec)
+                _assert_term_and_lu_step(mpf_neg(total), x, _num(-1), prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_rounding_with_zero_weights_and_kernel_values(prec):
+    w, v = _num(-(2 ** 52 + 11), -60), _num(2 ** prec - 5, -prec)
+    for total in (fzero, _num(9, -3), _num(-9, -3)):
+        for x, y in ((fzero, v), (fzero, mpf_neg(v)), (w, fzero), (mpf_neg(w), fzero),
+                     (fzero, fzero)):
+            _assert_term_and_lu_step(total, x, y, prec)
+            assert _term(total, x, y, 1, prec) == total
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_integer_chains_match_libmp_on_random_sequences(prec):
+    rng = np.random.default_rng(prec)
+
+    def draw(bits):
+        kind = rng.integers(8)
+        if kind == 0:
+            return fzero
+        man = int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, bits - 62))
+        man = man | 1 if kind == 1 else man
+        return _num(man if rng.integers(2) else -man, int(rng.integers(-400, 400)))
+
+    for _ in range(300):
+        # weights of up to prec bits (the LU's solution carries more than
+        # the sweep's prec) against kernel values of prec bits
+        terms = [(draw(prec + 10), mpf_mul(draw(prec), fone, prec, round_nearest),
+                  int(rng.integers(2))) for _ in range(int(rng.integers(1, 12)))]
+        if rng.integers(3) == 0:
+            x, y, neg = terms[0]
+            terms.append((x, y, 1 - neg))
+        expected = fzero
+        for x, y, neg in terms:
+            expected = _term_by_libmp(expected, x, y, neg, prec)
+        got = _dot((0, 0), [_pair(x) for x, _, _ in terms], [_pair(y) for _, y, _ in terms],
+                   prec, [neg for _, _, neg in terms])
+        assert _raw(*got) == expected
+        v = mpf_mul(draw(prec), fone, prec, round_nearest)
+        factor = terms[0][0]
+        row, tail = [v, fzero, expected], [terms[0][1], v, fone]
+        assert _axpy(row, _pair(mpf_neg(factor)), [_pair(u) for u in tail], prec) == [
+            _lu_step_by_libmp(a, factor, u, prec) for a, u in zip(row, tail)]
