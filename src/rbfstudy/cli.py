@@ -3,9 +3,10 @@ inequality campaign.
 
 Exit codes: 0 all checks pass, 2 some refinement levels failed to solve
 or a bad argument (as argparse uses it; also a config ``run`` cannot read
-or refuses, an output directory ``run`` cannot make, or a rows file
-``fit`` cannot read or fit, each reported in one line), 3 the bound-shape
-check (or the Gorny campaign) failed.
+or refuses, an approximand of zero native norm it cannot normalize, an
+output directory ``run`` cannot make, or a rows file ``fit`` cannot read
+or fit, each reported in one line), 3 the bound-shape check (or the Gorny
+campaign) failed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from rbfstudy.kernels import KernelFamily
 from rbfstudy.study import (
     StudyConfig,
     VALUE_TAG,
+    ZeroNormError,
     check_bounds,
     read_rows_csv,
     run_gorny_campaign,
@@ -50,7 +52,11 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"rbfstudy run: cannot make directory {out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_study(config)
+    try:
+        result = run_study(config)
+    except ZeroNormError as exc:
+        print(f"rbfstudy run: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = None
     if config.check_enabled and config.deriv_orders:
         try:

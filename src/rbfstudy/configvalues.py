@@ -12,6 +12,7 @@ value of the wrong type is refused, not coerced as ``float("0.1")`` or
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from enum import Enum
 
@@ -106,10 +107,16 @@ def nested(cls):
 
 
 def number(name: str, value) -> float:
-    """``value`` as a float; refuse anything but a real number, and bools."""
+    """``value`` as a float; refuse anything but a finite real number, and bools."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past double's range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return out
 
 
 def flag(name: str, value) -> bool:

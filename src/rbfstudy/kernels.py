@@ -113,8 +113,6 @@ class Kernel:
 
     def __post_init__(self):
         check(self, "kernel")
-        if not np.isfinite(self.beta):
-            raise ValueError("beta must be finite")
         if self.family is KernelFamily.MULTIQUADRIC:
             if _is_nonnegative_even_integer(self.beta):
                 raise ValueError(

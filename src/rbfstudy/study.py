@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath.libmp import round_nearest, to_float
 
 from rbfstudy import bounds, highprec
 from rbfstudy.bounds import GaussianRateFit, MQRateFit, fit_report_dict, gorny_oracle_check
@@ -88,6 +89,10 @@ class ApproximandSpec:
         if scheme == "explicit" and not self.centers_points:
             raise ValueError("approximand.centers.points must list at least one point for "
                              "explicit centers")
+        points = self.centers_points or ()
+        for i, point in enumerate(points):
+            if point in points[:i]:
+                raise ValueError(f"approximand.centers.points repeats the point {list(point)}")
         if scheme == "grid" and (spacing is None or not spacing > 0.0):
             raise ValueError(f"approximand.centers.spacing must be a number > 0 for grid "
                              f"centers, got {spacing!r}")
@@ -158,6 +163,8 @@ class StudyConfig:
         if any(b >= a if grid else b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"refinement.{used} must be strictly "
                              f"{'decreasing' if grid else 'increasing'}, got {sizes}")
+        if grid and not sizes[-1] > 0.0:
+            raise ValueError(f"refinement.spacings must be > 0, got {sizes}")
         for i, alpha in enumerate(self.deriv_orders):
             if len(alpha) != dim:
                 raise ValueError(f"multi-index {alpha} does not match dim {dim}")
@@ -207,12 +214,17 @@ class StudyConfig:
             return cls.from_dict(json.load(fh))
 
 
+class ZeroNormError(ValueError):
+    """The approximand to normalize has zero native norm."""
+
+
 def build_approximand(config: StudyConfig) -> KernelExpansion:
     """Construct the study's kernel-expansion approximand.
 
     Random weights are projected onto the moment-condition subspace when
     the kernel needs polynomial augmentation, then optionally rescaled to
-    unit native norm. Deterministic for fixed seeds.
+    unit native norm; ZeroNormError says why one of zero norm cannot be.
+    Deterministic for fixed seeds.
     """
     spec = config.approximand
     if spec.centers_scheme == "explicit":
@@ -238,7 +250,11 @@ def build_approximand(config: StudyConfig) -> KernelExpansion:
     if spec.normalize:
         norm = f.native_norm()
         if norm <= 0.0:
-            raise ValueError("approximand has zero native norm; change the weight seed")
+            why = ("approximand.weights_scale is 0" if spec.weights_scale == 0.0 else
+                   f"the moment conditions zero the weights of its centers ({len(centers)}); "
+                   "give it more centers")
+            raise ZeroNormError(f"the approximand has zero native norm, so it cannot be "
+                                f"normalized: {why}")
         f = KernelExpansion(config.kernel, centers, weights / norm, poly)
     return f
 
@@ -351,8 +367,9 @@ def _mp_measure(config, f, probes, inner_mask):
     """``_double_measure`` at ``solver_dps``, with ``highprec.measure_level``'s
     stats in place of None: the study's MpCore, built at that dps with one
     kernel memo for f and every level, and f in mp are built once per study;
-    each level's mpf sups are cast to float. Nodes that are not a determining
-    set fail the level as in ``solve``, before the double condition gate."""
+    each level's mpf sups are rounded to the nearest float. Nodes that are
+    not a determining set fail the level as in ``solve``, before the double
+    condition gate."""
     core = highprec.MpCore(config.kernel, config.deriv_orders, config.solver_dps)
     f_mp = highprec.approximand_on_probes(core, f, probes, inner_mask)
     inner = probes[inner_mask]
@@ -367,7 +384,8 @@ def _mp_measure(config, f, probes, inner_mask):
             config.kernel, f.centers.points, f.weights, f.poly_coeffs, nodes.points, probes,
             inner, config.deriv_orders, f_mp, cond, core,
         )
-        return tuple(float(w) for w in sups), cond, stats
+        # to the nearest double; float(mpf) would round by mpmath's context
+        return tuple(to_float(w._mpf_, rnd=round_nearest) for w in sups), cond, stats
 
     return measure
 

@@ -170,9 +170,22 @@ def test_fit_refuses_unfittable_rows_with_a_message(tmp_path, capfd, edit, args,
          "check.deriv_norm_scale must be > 0, got 0.0$"),
         (lambda doc: doc["derivatives"].update(orders=[[1], [1]]),
          r"derivatives.orders repeats the order \[1\]$"),
+        (lambda doc: doc["approximand"].update(weights_scale=float("nan")),
+         "approximand.weights_scale must be a finite number, got nan$"),
+        (lambda doc: doc["approximand"].update(poly=[float("inf")]),
+         "an entry of approximand.poly must be a finite number, got inf$"),
+        (lambda doc: doc["kernel"].update(beta=float("-inf")),
+         "kernel.beta must be a finite number, got -inf$"),
+        # a JSON integer past double's range
+        (lambda doc: doc["kernel"].update(c=10**400), "kernel.c must be a finite number, got 10+$"),
+        (lambda doc: doc["refinement"].update(spacings=[-0.1, -0.2]),
+         r"refinement.spacings must be > 0, got \(-0.1, -0.2\)$"),
+        (lambda doc: doc["approximand"]["centers"].update(points=[[0.33], [-0.04], [0.33]]),
+         r"approximand.centers.points repeats the point \[0.33\]$"),
     ],
     ids=["unknown-key", "missing-key", "not-json", "no-inner-probe", "zero-deriv-norm-scale",
-         "repeated-order"],
+         "repeated-order", "nan-weights-scale", "infinite-poly", "infinite-beta", "huge-c",
+         "negative-spacings", "repeated-center"],
 )
 def test_run_refuses_a_bad_config_with_a_message(tmp_path, capsys, edit, message):
     config_path = tmp_path / "config.json"
@@ -212,6 +225,32 @@ def test_run_refuses_centers_the_scheme_cannot_use(tmp_path, capsys, centers, me
     assert captured.err.startswith("rbfstudy run: ") and message in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "approximand, message",
+    [
+        # under multiquadric beta 1 the moment condition zeroes a lone center's weight
+        ({"centers": {"scheme": "explicit", "points": [[0.33]]}},
+         r"the moment conditions zero the weights of its centers \(1\); give it more centers$"),
+        ({"weights_scale": 0.0}, "approximand.weights_scale is 0$"),
+    ],
+    ids=["one-center", "zero-weights-scale"],
+)
+def test_run_refuses_an_approximand_of_zero_norm(tmp_path, capsys, approximand, message):
+    doc = json.loads((FIXTURES / "pilot_mq.json").read_text())
+    doc["approximand"].update(approximand)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("rbfstudy run: the approximand has zero native norm, so it "
+                                   "cannot be normalized: ")
+    assert re.search(message, captured.err.strip())
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,15 @@
 
 The reference functions below are the straightforward per-entry mp
 evaluation (one kernel derivative, one monomial, one expansion at a time).
-``MpCore`` must return the very same ``mpf`` values, memoized or not, and
-``lu_solve`` the very same ``mpf`` values as ``mp.lu_solve``, so rows
-recorded by a study do not depend on how the work is shared.
+``MpCore`` must return the very same values, memoized or not, and
+``lu_solve`` the very same values as ``mp.lu_solve``, so rows recorded by a
+study do not depend on how the work is shared. The module passes raw
+``_mpf_`` tuples and (signed mantissa, exponent) pairs; the helpers
+``_kernel``, ``_expansion`` and ``_lu_solve`` convert ``mpf`` lists at
+their boundary, exactly.
 """
 
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -89,6 +93,34 @@ def _same(a, b):
     return a._mpf_ == b._mpf_
 
 
+def _mp(pair):
+    return mp.make_mpf(_raw(*pair))
+
+
+def _expansion(core, centers, weights, poly, x, count):
+    """``core.expansion`` on mpf centers (rows), weights, coefficients and
+    point, as mpf."""
+    axes = [[c[axis]._mpf_ for c in centers] for axis in range(len(x))]
+    got = core.expansion(axes, [_pair(w._mpf_) for w in weights], [_pair(c._mpf_) for c in poly],
+                         [v._mpf_ for v in x], count)
+    return [_mp(v) for v in got]
+
+
+def _kernel(core, diff, count):
+    """The first ``count`` orders of the kernel at the mpf difference
+    ``diff``: an expansion of one center at the origin, weight 1 and a zero
+    polynomial part, whose sums add only exact no-ops."""
+    zero = [mpf(0)] * len(diff)
+    return _expansion(core, [zero], [mpf(1)], [mpf(0)] * core.basis.size, diff, count)
+
+
+def _lu_solve(system, rhs, cond_estimate=1.0):
+    """``lu_solve`` on mpf lists at the working precision, as mpf."""
+    x, factors, pivots = lu_solve([[_pair(v._mpf_) for v in row] for row in system],
+                                  [_pair(v._mpf_) for v in rhs], mp.prec, cond_estimate)
+    return [_mp(v) for v in x], [[mp.make_mpf(v) for v in row] for row in factors], pivots
+
+
 KERNELS = [
     pytest.param(lambda dim: Kernel.gaussian(3.0, dim), id="gaussian"),
     pytest.param(lambda dim: Kernel.multiquadric(1.0, 0.7, dim), id="mq1"),
@@ -121,12 +153,12 @@ def test_core_matches_per_entry_formulas(make_kernel, dim):
         weights = [mpf(v) / 3 for v in rng.normal(size=4)]
         poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
         for x in points + [[mpf(0)] * dim]:
-            got = core.kernel(x, len(core.orders))
+            got = _kernel(core, x, len(core.orders))
             for alpha, value in zip(core.orders, got):
                 assert _same(value, _kernel_deriv_mp(kernel, alpha, x)), alpha
             # every count gives the same leading orders
-            assert all(_same(a, b) for a, b in zip(core.kernel(x, 1), got))
-            got = core.expansion(centers, weights, poly, x, len(core.orders))
+            assert all(_same(a, b) for a, b in zip(_kernel(core, x, 1), got))
+            got = _expansion(core, centers, weights, poly, x, len(core.orders))
             for alpha, value in zip(core.orders, got):
                 expected = _expansion_deriv_mp(kernel, centers, weights, basis, poly, alpha, x)
                 assert _same(value, expected), alpha
@@ -152,7 +184,7 @@ def _reference_system(kernel, nodes, f):
 
 
 def _assert_matches_mpmath(system, rhs):
-    x, factors, pivots = lu_solve(system, rhs, 1.0)
+    x, factors, pivots = _lu_solve(system, rhs)
     expected = mp.lu_solve(mp.matrix(system), mp.matrix(rhs))
     assert len(x) == expected.rows
     assert all(_same(a, expected[i]) for i, a in enumerate(x))
@@ -191,7 +223,7 @@ def test_lu_solve_rejects_singular_matrix(rows):
     with mp.workdps(DPS):
         system = [[mpf(v) for v in row] for row in rows]
         with pytest.raises(SingularSystemError) as info:
-            lu_solve(system, [mpf(1)] * len(rows), 4.5e40)
+            _lu_solve(system, [mpf(1)] * len(rows), 4.5e40)
     assert info.value.cond_estimate == 4.5e40
 
 
@@ -205,7 +237,7 @@ def test_lu_solve_matches_mpmath_at_depth():
     assert len(nodes) == 81
     with mp.workdps(200):
         system, rhs = _reference_system(config.kernel, nodes, build_approximand(config))
-        x, factors, pivots = lu_solve(system, rhs, 1.0)
+        x, factors, pivots = _lu_solve(system, rhs)
         with mp.workprec(mp.prec + 10):
             lu, p = mp.LU_decomp(mp.matrix(system))
             expected = mp.U_solve(lu, mp.L_solve(lu, mp.matrix(rhs), p))
@@ -226,7 +258,7 @@ class _Pilot:
         self.inner_mask = _inner_probe_mask(config.domain, self.probes, config.delta)
         self.core = self.new_core()
         self.f_mp = self.f_on_probes(self.core)
-        self._f_reference = None
+        self._f_reference = {}
 
     def new_core(self):
         return MpCore(self.config.kernel, self.config.deriv_orders, self.config.solver_dps)
@@ -237,17 +269,17 @@ class _Pilot:
     def f_reference(self):
         """f at every probe (and each order at inner probes) by the per-entry
         formulas, at the working precision."""
-        if self._f_reference is None:
+        if mp.prec not in self._f_reference:
             config, f = self.config, self.f
             kernel, orders = config.kernel, ((0,) * config.kernel.dim,) + config.deriv_orders
             basis = MonomialBasis.for_cpd_order(kernel.dim, kernel.cpd_order)
             centers = _mp_points_of(f.centers.points)
             weights, poly = [mpf(v) for v in f.weights], [mpf(v) for v in f.poly_coeffs]
-            self._f_reference = [
+            self._f_reference[mp.prec] = [
                 [_expansion_deriv_mp(kernel, centers, weights, basis, poly, alpha, x)
                  for alpha in (orders if inner else orders[:1])]
                 for x, inner in zip(_mp_points_of(self.probes), self.inner_mask)]
-        return self._f_reference
+        return self._f_reference[mp.prec]
 
     def nodes(self, level):
         return generate_points(self.config.domain, "grid",
@@ -426,7 +458,7 @@ def test_folded_core_matches_reference_under_reflections(make_kernel, dim, value
         counts = (1, full) if value_first else (full, 1)
         for count in counts:
             for diff in diffs:
-                got = core.kernel(diff, count)
+                got = _kernel(core, diff, count)
                 assert len(got) == count
                 for alpha, value in zip(core.orders, got):
                     assert _same(value, _kernel_deriv_mp(kernel, alpha, diff)), (alpha, diff)
@@ -438,7 +470,7 @@ def test_folded_core_matches_reference_under_reflections(make_kernel, dim, value
         poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
         for count in counts:
             for x in [[mpf(0)] * dim] + diffs[:2 ** dim]:
-                got = expansion_core.expansion(diffs, weights, poly, x, count)
+                got = _expansion(expansion_core, diffs, weights, poly, x, count)
                 for alpha, value in zip(core.orders, got):
                     expected = _expansion_deriv_mp(kernel, diffs, weights, basis, poly, alpha, x)
                     assert _same(value, expected), (alpha, x)
@@ -456,14 +488,14 @@ def test_memoized_core_matches_reference_on_2d_grid(make_kernel):
         # every difference and, later, its negation; many repeat
         diffs = [[a - b for a, b in zip(x, y)] for x in grid for y in grid]
         for diff in diffs:
-            for alpha, value in zip(core.orders, core.kernel(diff, len(core.orders))):
+            for alpha, value in zip(core.orders, _kernel(core, diff, len(core.orders))):
                 assert _same(value, _kernel_deriv_mp(kernel, alpha, diff)), (alpha, diff)
         assert len(core.memo) < core.lookups == len(diffs)
         basis = MonomialBasis.for_cpd_order(2, kernel.cpd_order)
         weights = [mpf(v) / 3 for v in rng.normal(size=len(grid))]
         poly = [mpf(v) / 7 for v in rng.normal(size=basis.size)]
         for x in grid:
-            got = core.expansion(grid, weights, poly, x, len(core.orders))
+            got = _expansion(core, grid, weights, poly, x, len(core.orders))
             for alpha, value in zip(core.orders, got):
                 expected = _expansion_deriv_mp(kernel, grid, weights, basis, poly, alpha, x)
                 assert _same(value, expected), alpha
@@ -488,41 +520,85 @@ def test_measure_level_leaves_no_shared_state(monkeypatch):
     assert len(cores) == 3 and all(ref() is None for ref in cores)
 
 
+@contextlib.contextmanager
+def _rounding_down():
+    """mpmath's context rounding set to 'd' (toward zero) for the block."""
+    rounding = mp._prec_rounding[1]
+    mp._prec_rounding[1] = "d"
+    try:
+        yield
+    finally:
+        mp._prec_rounding[1] = rounding
+
+
 def test_core_is_bound_to_its_precision():
+    """A core computes at the dps it was built at, whatever the caller's."""
     kernel = Kernel.multiquadric(1.0, 0.7, 1)
+    diff = [mpf(0.25)]
     with mp.workdps(DPS):
         core = MpCore(kernel, ((1,),), DPS)
-        diff = [mpf(0.25)]
-        core.kernel(diff, 2)
-        with mp.workdps(DPS + 30):
-            with pytest.raises(ValueError, match="bits"):
-                core.kernel(diff, 2)
-            with pytest.raises(ValueError, match="bits"):
-                core.expansion([[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
-            fine = MpCore(kernel, ((1,),), DPS + 30)
-            got = fine.kernel(diff, 2)
+        expected = [_kernel_deriv_mp(kernel, a, diff) for a in core.orders]
+        got = _kernel(core, diff, 2)
+    assert all(_same(a, b) for a, b in zip(got, expected))
+    for dps in (DPS - 20, DPS + 30):
+        with mp.workdps(dps):
+            assert all(_same(a, b) for a, b in zip(_kernel(core, diff, 2), expected)), dps
+            fine = MpCore(kernel, ((1,),), dps)
+            got = _kernel(fine, diff, 2)
             assert all(_same(v, _kernel_deriv_mp(kernel, a, diff))
-                       for a, v in zip(fine.orders, got))
+                       for a, v in zip(fine.orders, got)), dps
 
 
 def test_core_is_bound_to_round_to_nearest():
+    """A core built or called under caller rounding 'd' still rounds to
+    nearest, and leaves the caller's rounding as it found it."""
     kernel = Kernel.multiquadric(1.0, 0.7, 1)
+    diff = [mpf(-0.25)]
     with mp.workdps(DPS):
         core = MpCore(kernel, ((1,),), DPS)
-        diff = [mpf(-0.25)]
-        rounding = mp._prec_rounding[1]
-        mp._prec_rounding[1] = "d"
-        try:
-            with pytest.raises(ValueError, match="round-to-nearest"):
-                MpCore(kernel, ((1,),), DPS)
-            with pytest.raises(ValueError, match="rounding 'd'"):
-                core.kernel(diff, 2)
-            with pytest.raises(ValueError, match="rounding 'd'"):
-                core.expansion([[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
-        finally:
-            mp._prec_rounding[1] = rounding
-        got = core.kernel(diff, 2)
-        assert all(_same(v, _kernel_deriv_mp(kernel, a, diff)) for a, v in zip(core.orders, got))
+        expected = [_kernel_deriv_mp(kernel, a, diff) for a in core.orders]
+        shifted = expected[0] + 1
+        with _rounding_down():
+            built_down = MpCore(kernel, ((1,),), DPS)
+            for c in (core, built_down):
+                assert all(_same(a, b) for a, b in zip(_kernel(c, diff, 2), expected))
+                got = _expansion(c, [[mpf(0)]], [mpf(1)], [mpf(1)], diff, 2)
+                assert _same(got[0], shifted) and _same(got[1], expected[1])
+            assert mp._prec_rounding[1] == "d"
+        assert all(_same(a, b) for a, b in zip(_kernel(built_down, diff, 2), expected))
+
+
+def test_cores_of_two_precisions_serve_side_by_side(mq_pilot):
+    """Cores at P and 2P digits, built and called in turn under a caller
+    context of a third precision and of rounding 'd', each give the
+    per-entry reference sups at their own dps, bit for bit."""
+    pilot, levels = mq_pilot, (0, 1)
+    dps = (pilot.config.solver_dps, 2 * pilot.config.solver_dps)
+    expected = {}
+    for d in dps:
+        with mp.workdps(d):
+            expected[d] = [_reference_sups(pilot, pilot.nodes(level)) for level in levels]
+    with mp.workdps(20), _rounding_down():
+        cores = {d: MpCore(pilot.config.kernel, pilot.config.deriv_orders, d) for d in dps}
+        f_mp = {d: pilot.f_on_probes(cores[d]) for d in dps}
+        got = {d: [] for d in dps}
+        for level in levels:
+            for d in dps:
+                sups, stats = pilot.measure(level, cores[d], f_mp=f_mp[d])
+                assert stats["dps"] == d
+                got[d].append(sups)
+        assert mp.dps == 20 and mp._prec_rounding[1] == "d"
+    for d in dps:
+        for want, have in zip(expected[d], got[d]):
+            assert len(have) == len(want)
+            assert all(_same(a, b) for a, b in zip(have, want)), d
+
+
+def test_study_rows_ignore_the_callers_mp_context():
+    config = StudyConfig.load_json(FIXTURES / "pilot_mq.json")
+    expected = [record.errors for record in run_study(config).levels]
+    with mp.workdps(20), _rounding_down():
+        assert [record.errors for record in run_study(config).levels] == expected
 
 
 def test_core_sets_the_precision_of_its_callers(mq_pilot):
@@ -538,13 +614,13 @@ def test_core_sets_the_precision_of_its_callers(mq_pilot):
             assert mp.prec == prec
             sups, _ = pilot.measure(0, core, f_mp=f_mp)
             assert mp.prec == prec
-        return [v for x, values in f_mp for v in x + values] + sups
+        return [v for x, values in f_mp for v in x + [_raw(*p) for p in values]] + [
+            v._mpf_ for v in sups]
 
     expected = run(pilot.config.solver_dps)
     for dps in (15, 80):
         got = run(dps)
-        assert len(got) == len(expected)
-        assert all(_same(a, b) for a, b in zip(got, expected)), dps
+        assert got == expected, dps
 
 
 @pytest.mark.parametrize("mismatch", ["kernel", "orders"])

@@ -140,7 +140,7 @@ class TestConfig:
             (("check", "deriv_norm_scale"), 0.0, "check.deriv_norm_scale must be > 0, got 0.0"),
             (("check", "deriv_norm_scale"), -1, "check.deriv_norm_scale must be > 0, got -1.0"),
             (("check", "deriv_norm_scale"), float("nan"),
-             "check.deriv_norm_scale must be > 0, got nan"),
+             "check.deriv_norm_scale must be a finite number, got nan"),
         ],
     )
     def test_config_numbers_checked_not_truncated(self, path, value, match):
@@ -583,9 +583,9 @@ def test_approximand_evaluated_in_mp_once_per_study(monkeypatch):
     sizes = []
     expansion = highprec.MpCore.expansion
 
-    def counting(self, centers, *args):
-        sizes.append(len(centers))
-        return expansion(self, centers, *args)
+    def counting(self, axes, *args):
+        sizes.append(len(axes[0]))
+        return expansion(self, axes, *args)
 
     monkeypatch.setattr(highprec.MpCore, "expansion", counting)
     config = tiny_config(spacings=(0.5, 0.25, 0.125), solver_dps=30)
